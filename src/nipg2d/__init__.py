@@ -11,7 +11,7 @@ Typical use::
     problem = boundary_layer_problem(eps)
     grid = build_mesh(MeshConfig(n=n, eps=eps, sigma=k + 1.5,
                                  beta1=2.0, beta2=3.0))
-    edges = classify_edges(grid)
+    edges = classify_edges(grid)      # EdgeSet: one array entry per edge
     dofmap = DofMap(k=k, n=n)
     system = assemble(grid, edges, dofmap, problem, eps)
     x, report = solve(system)
@@ -24,13 +24,10 @@ from .analysis import (ErrorRecord, NormComponents, broken_l2_error,
                        interpolate_vee_global, supercloseness_error)
 from .assembly import (CoefficientConditionError, DGFunction, DofMap,
                        ExactSolution, ProblemData, SparseSystem, assemble,
-                       boundary_dofs, export_coordinate,
-                       inflow_outflow_split, load_coordinate, trace_pair)
+                       boundary_dofs)
 from .felib import (L2Projector, QuadratureRule, ReferenceBasis,
-                    VeeInterpolator, eval_basis, eval_basis_grad,
-                    gauss_legendre, l2_projection_local, lobatto_nodes,
-                    local_mass_matrix, vee_interpolation_local)
-from .mesh import (Edge, EdgeType, MeshConfig, RegionTag, ShishkinMesh,
+                    VeeInterpolator, gauss_legendre, lobatto_nodes)
+from .mesh import (EdgeSet, EdgeType, MeshConfig, RegionTag, ShishkinMesh,
                    build_mesh, classify_edges, penalty_weight, region_of)
 from .problems import boundary_layer_problem, get_problem
 from .solver import SolveReport, SolverConfig, solve
@@ -38,16 +35,14 @@ from .solver import SolveReport, SolverConfig, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientConditionError", "DGFunction", "DofMap", "Edge", "EdgeType",
-    "ErrorRecord", "ExactSolution", "L2Projector", "MeshConfig",
+    "CoefficientConditionError", "DGFunction", "DofMap", "EdgeSet",
+    "EdgeType", "ErrorRecord", "ExactSolution", "L2Projector", "MeshConfig",
     "NormComponents", "ProblemData", "QuadratureRule", "ReferenceBasis",
     "RegionTag", "ShishkinMesh", "SolveReport", "SolverConfig",
     "SparseSystem", "VeeInterpolator", "assemble", "boundary_dofs",
     "boundary_layer_problem", "broken_l2_error", "build_mesh",
-    "classify_edges", "convergence_rates", "energy_norm", "eval_basis",
-    "eval_basis_grad", "export_coordinate", "gauss_legendre", "get_problem",
-    "inflow_outflow_split", "interpolate_composite",
-    "interpolate_vee_global", "l2_projection_local", "load_coordinate",
-    "lobatto_nodes", "local_mass_matrix", "penalty_weight", "region_of",
-    "solve", "supercloseness_error", "trace_pair", "vee_interpolation_local",
+    "classify_edges", "convergence_rates", "energy_norm", "gauss_legendre",
+    "get_problem", "interpolate_composite", "interpolate_vee_global",
+    "lobatto_nodes", "penalty_weight", "region_of", "solve",
+    "supercloseness_error",
 ]

@@ -25,9 +25,8 @@ space:
 import numpy as np
 from dataclasses import dataclass, field
 
-from .assembly import DGFunction, _RefTables, _group_edges, _sample
+from .assembly import DGFunction, _faces, _RefTables, _sample
 from .felib import l2_projector, vee_operator
-from .mesh import RegionTag, region_of
 
 
 def _element_arrays(mesh):
@@ -80,8 +79,8 @@ def interpolate_composite(u, mesh, dofmap, nq=None):
     vee = interpolate_vee_global(u, mesh, dofmap, nq=nq)
     proj = l2_projector(dofmap.k, (dofmap.k + 2) if nq is None else int(nq))
     i_e, j_e, *_ = _element_arrays(mesh)
-    mask = np.array([region_of(mesh, i, j) is RegionTag.OMEGA11
-                     for i, j in zip(i_e, j_e)])
+    half = mesh.config.n // 2
+    mask = (i_e < half) & (j_e < half)      # the coarse-coarse region
     if not np.any(mask):
         return vee
     x, y = _physical_points(mesh, proj.points)
@@ -117,7 +116,7 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
     Parameters
     ----------
     v : DGFunction
-    edges : list of Edge
+    edges : EdgeSet
     problem : ProblemData
         Supplies b, c and div(b) for the weights.
     eps : float
@@ -157,64 +156,14 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
     grad_part = eps * float(np.sum(area * (gx ** 2 + gy ** 2)))
     reaction_part = float(np.sum(area * c0sq * vals ** 2))
 
-    # edge parts
+    # edge parts: the jump is the single trace on the boundary
     penalty_part = 0.0
     flow_part = 0.0
-    groups = _group_edges(edges)
-    n = mesh.config.n
-
-    for axis, key in (("v", "v_int"), ("h", "h_int")):
-        group = groups[key]
-        if not group:
-            continue
-        line = np.array([e.line for e in group])
-        cell = np.array([e.cell for e in group])
-        rho = np.array([e.rho for e in group])
-        if axis == "v":
-            h = mesh.h_y[cell]
-            y = mesh.y_pts[cell][:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-            x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
-            hi, lo = line * n + cell, (line - 1) * n + cell
-            tr_hi, tr_lo = tab.tr["L"], tab.tr["R"]
-            b_edge = _sample(problem.b1, x, y)
-        else:
-            h = mesh.h_x[cell]
-            x = mesh.x_pts[cell][:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-            y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
-            hi, lo = cell * n + line, cell * n + (line - 1)
-            tr_hi, tr_lo = tab.tr["B"], tab.tr["T"]
-            b_edge = _sample(problem.b2, x, y)
-        wj = tab.w1[None, :] * (0.5 * h)[:, None]
-        jump = coeffs[hi] @ tr_hi - coeffs[lo] @ tr_lo   # (ne_edges, nq)
-        penalty_part += float(np.sum(wj * rho[:, None] * jump ** 2))
-        flow_part += 0.5 * float(np.sum(wj * b_edge * jump ** 2))
-
-    for side in ("left", "right", "bottom", "top"):
-        group = groups[side]
-        if not group:
-            continue
-        cell = np.array([e.cell for e in group])
-        rho = np.array([e.rho for e in group])
-        if side in ("left", "right"):
-            h = mesh.h_y[cell]
-            y = mesh.y_pts[cell][:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-            xval = 0.0 if side == "left" else 1.0
-            x = np.full_like(y, xval)
-            elem = cell if side == "left" else (n - 1) * n + cell
-            tr = tab.tr["L" if side == "left" else "R"]
-            b_edge = _sample(problem.b1, x, y)
-        else:
-            h = mesh.h_x[cell]
-            x = mesh.x_pts[cell][:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-            yval = 0.0 if side == "bottom" else 1.0
-            y = np.full_like(x, yval)
-            elem = cell * n if side == "bottom" else cell * n + (n - 1)
-            tr = tab.tr["B" if side == "bottom" else "T"]
-            b_edge = _sample(problem.b2, x, y)
-        wj = tab.w1[None, :] * (0.5 * h)[:, None]
-        trace = coeffs[elem] @ tr
-        penalty_part += float(np.sum(wj * rho[:, None] * trace ** 2))
-        flow_part += 0.5 * float(np.sum(wj * b_edge * trace ** 2))
+    for face in _faces(mesh, edges, problem, tab):
+        jump = sum(t.sign * (coeffs[t.elem] @ tab.tr[t.side])
+                   for t in face.traces)
+        penalty_part += float(np.sum(face.w * face.rho[:, None] * jump ** 2))
+        flow_part += 0.5 * float(np.sum(face.w * face.b * jump ** 2))
 
     return NormComponents(grad_part, reaction_part, penalty_part, flow_part)
 
@@ -258,7 +207,7 @@ def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
     ----------
     u_h : DGFunction
         Discrete solution.
-    edges : list of Edge
+    edges : EdgeSet
     problem : ProblemData
         Must carry an exact solution.
     eps : float

@@ -28,9 +28,10 @@ contiguous block E*(k+1)^2 + m, where m is the local nodal index of
 import numpy as np
 from dataclasses import dataclass, field
 
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from .felib import gauss_legendre, reference_basis
+from .mesh import NO_ELEMENT
 
 
 class CoefficientConditionError(ValueError):
@@ -124,7 +125,7 @@ class DGFunction:
     """A broken-space function: per-element nodal coefficients.
 
     Evaluation inside any element is well defined; values on mesh edges
-    are double valued and exposed through :func:`trace_pair`.
+    are double valued.
     """
 
     mesh: object
@@ -174,87 +175,16 @@ class DGFunction:
         return out.item() if scalar else out.reshape(x.shape)
 
 
-def trace_pair(v, edge, s):
-    """Two-sided traces of a :class:`DGFunction` along an edge.
-
-    Parameters
-    ----------
-    v : DGFunction
-    edge : nipg2d.mesh.Edge
-    s : ndarray
-        Running physical coordinates along the edge (y-values for a
-        vertical edge, x-values for a horizontal one), inside the open
-        segment.
-
-    Returns
-    -------
-    (plus, minus) : pair of ndarray
-        Traces from the plus and minus side; ``minus`` is None for a
-        boundary edge.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    mesh = v.mesh
-
-    def side_vals(elem):
-        i, j = mesh.element_ij(elem)
-        if edge.orientation == "v":
-            xi = 1.0 if mesh.x_pts[i + 1] == edge.endpoints[0][0] else -1.0
-            eta = 2.0 * (s - mesh.y_pts[j]) / mesh.h_y[j] - 1.0
-            return v.eval_in_element(i, j, np.full_like(s, xi), eta)
-        eta = 1.0 if mesh.y_pts[j + 1] == edge.endpoints[0][1] else -1.0
-        xi = 2.0 * (s - mesh.x_pts[i]) / mesh.h_x[i] - 1.0
-        return v.eval_in_element(i, j, xi, np.full_like(s, eta))
-
-    plus = side_vals(edge.plus_elem)
-    minus = None if edge.minus_elem is None else side_vals(edge.minus_elem)
-    return plus, minus
-
-
-def inflow_outflow_split(mesh, problem, i, j, nq=4):
-    """Partition the sides of element (i, j) by the sign of b . n.
-
-    Returns
-    -------
-    (inflow, outflow) : pair of tuples
-        Side names from ("left", "bottom", "right", "top"); a side is
-        inflow when b . n < 0 at every sample point, outflow when
-        b . n >= 0 everywhere.
-
-    Raises
-    ------
-    ValueError
-        If b . n changes sign within one side.
-    """
-    rule = gauss_legendre(nq)
-    x0, x1, y0, y1 = mesh.cell_bounds(i, j)
-    xs = x0 + (rule.nodes + 1.0) * 0.5 * (x1 - x0)
-    ys = y0 + (rule.nodes + 1.0) * 0.5 * (y1 - y0)
-    sides = {
-        "left": -np.asarray(problem.b1(np.full_like(ys, x0), ys), dtype=float),
-        "right": np.asarray(problem.b1(np.full_like(ys, x1), ys), dtype=float),
-        "bottom": -np.asarray(problem.b2(xs, np.full_like(xs, y0)), dtype=float),
-        "top": np.asarray(problem.b2(xs, np.full_like(xs, y1)), dtype=float),
-    }
-    inflow, outflow = [], []
-    for name in ("left", "bottom", "right", "top"):
-        bn = np.broadcast_to(sides[name], (nq,))
-        if np.all(bn < 0.0):
-            inflow.append(name)
-        elif np.all(bn >= 0.0):
-            outflow.append(name)
-        else:
-            raise ValueError(
-                f"b . n changes sign on side {name!r} of element ({i}, {j}); "
-                "the upwind splitting needs a single sign per side")
-    return tuple(inflow), tuple(outflow)
-
-
 def _sample(fn, x, y):
     """Evaluate a coefficient callable, broadcasting constants."""
     out = np.asarray(fn(x, y), dtype=float)
     if out.shape != np.shape(x):
         out = np.broadcast_to(out, np.shape(x)).copy()
     return out
+
+
+# reference sides of the cell, indexing the side tables of _RefTables
+_LEFT, _RIGHT, _BOTTOM, _TOP = range(4)
 
 
 class _RefTables:
@@ -272,20 +202,94 @@ class _RefTables:
         self.vals = basis.eval_2d(pts)
         self.gx, self.gy = basis.grad_2d(pts)
         ones = np.ones_like(rule.nodes)
-        side_pts = {
-            "L": np.column_stack([-ones, rule.nodes]),
-            "R": np.column_stack([ones, rule.nodes]),
-            "B": np.column_stack([rule.nodes, -ones]),
-            "T": np.column_stack([rule.nodes, ones]),
-        }
-        self.tr = {}
-        self.dxi = {}
-        self.deta = {}
-        for s, p in side_pts.items():
-            self.tr[s] = basis.eval_2d(p)
-            gx, gy = basis.grad_2d(p)
-            self.dxi[s] = gx
-            self.deta[s] = gy
+        side_pts = (np.column_stack([-ones, rule.nodes]),
+                    np.column_stack([ones, rule.nodes]),
+                    np.column_stack([rule.nodes, -ones]),
+                    np.column_stack([rule.nodes, ones]))
+        # per side: basis traces, and the reference derivative transverse
+        # to the side (d/dxi on left/right, d/deta on bottom/top)
+        self.tr = [basis.eval_2d(p) for p in side_pts]
+        self.dn = [basis.grad_2d(p)[side // 2]
+                   for side, p in enumerate(side_pts)]
+
+
+@dataclass(frozen=True)
+class _Trace:
+    """One side of a face batch.
+
+    ``elem`` are the elements on that side, meeting the faces on reference
+    side ``side``; ``sign`` is +1 on the plus and -1 on the minus side, so
+    the jump is the signed sum of the traces; ``dnu`` (per face) turns the
+    reference transverse derivative into grad v . nu.
+    """
+
+    elem: np.ndarray
+    side: int
+    sign: float
+    dnu: np.ndarray
+
+    @property
+    def inflow(self):
+        """Whether the faces are inflow faces of ``elem`` (b . n < 0 for a
+        componentwise positive convection field)."""
+        return self.side in (_LEFT, _BOTTOM)
+
+
+@dataclass(frozen=True)
+class _FaceBatch:
+    """Gauss quadrature on edges whose traces share reference sides.
+
+    ``w`` (faces, nq) holds the weights times the edge Jacobian, ``b`` the
+    convection component transverse to the edge at the quadrature points
+    (b . nu up to the normal sign), ``rho`` the penalty weights.
+    ``traces`` is (plus,) on the boundary and (plus, minus) inside.
+    """
+
+    w: np.ndarray
+    b: np.ndarray
+    rho: np.ndarray
+    traces: tuple
+
+
+def _faces(mesh, edges, problem, tab):
+    """Split an :class:`~nipg2d.mesh.EdgeSet` into face batches.
+
+    Edges are grouped by the reference side on which the plus element
+    meets them and by whether a minus side exists, so every batch uses one
+    trace table per side whatever the numbering convention.
+    """
+    n = mesh.config.n
+    # widths of element E = i*N + j across vertical (h_x[i]) and
+    # horizontal (h_y[j]) faces
+    width_x, width_y = np.repeat(mesh.h_x, n), np.tile(mesh.h_y, n)
+    plus_side = (np.where(edges.orientation == "v", _LEFT, _BOTTOM)
+                 + (edges.normal > 0))
+    key = 2 * plus_side + (edges.minus == NO_ELEMENT)
+    for code in np.unique(key):
+        idx = np.flatnonzero(key == code)
+        side, on_boundary = divmod(int(code), 2)
+        line, cell = edges.line[idx], edges.cell[idx]
+        if side in (_LEFT, _RIGHT):
+            h = mesh.h_y[cell]
+            y = mesh.y_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
+            x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
+            b = _sample(problem.b1, x, y)
+            width = width_x
+        else:
+            h = mesh.h_x[cell]
+            x = mesh.x_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
+            y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
+            b = _sample(problem.b2, x, y)
+            width = width_y
+        nu = 1.0 if side in (_RIGHT, _TOP) else -1.0
+        sides = [(edges.plus[idx], side, 1.0)]
+        if not on_boundary:
+            # the minus element meets the edge on the opposite side
+            sides.append((edges.minus[idx], side ^ 1, -1.0))
+        traces = tuple(_Trace(e, s, sign, nu * 2.0 / width[e])
+                       for e, s, sign in sides)
+        yield _FaceBatch(tab.w1 * (0.5 * h)[:, None], b, edges.rho[idx],
+                         traces)
 
 
 class _TripletBuffer:
@@ -312,20 +316,6 @@ class _TripletBuffer:
         return coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
-def _group_edges(edges):
-    """Bucket an edge list into vectorizable families."""
-    groups = {key: [] for key in
-              ("v_int", "h_int", "left", "right", "bottom", "top")}
-    for e in edges:
-        if e.minus_elem is not None:
-            groups["v_int" if e.orientation == "v" else "h_int"].append(e)
-        elif e.orientation == "v":
-            groups["left" if e.line == 0 else "right"].append(e)
-        else:
-            groups["bottom" if e.line == 0 else "top"].append(e)
-    return groups
-
-
 def _check_coefficients(problem, x, y, beta1, beta2):
     """Spot-check the standing coefficient assumptions at sample points."""
     slack = 1e-9
@@ -350,7 +340,7 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     Parameters
     ----------
     mesh : ShishkinMesh
-    edges : list of Edge
+    edges : EdgeSet
         Output of :func:`nipg2d.mesh.classify_edges` (any numbering).
     dofmap : DofMap
     problem : ProblemData
@@ -416,14 +406,22 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     rhs = load.ravel()
 
     # ---- edge terms -------------------------------------------------------
-    groups = _group_edges(edges)
-    _assemble_interior(buf, groups["v_int"], "v", mesh, problem, eps, tab,
-                       ndl, n)
-    _assemble_interior(buf, groups["h_int"], "h", mesh, problem, eps, tab,
-                       ndl, n)
-    for side in ("left", "right", "bottom", "top"):
-        _assemble_boundary(buf, groups[side], side, mesh, problem, eps, tab,
-                           ndl, n)
+    for face in _faces(mesh, edges, problem, tab):
+        # {grad u . nu} averages two traces inside, takes one on the boundary
+        avg = 0.5 if len(face.traces) == 2 else 1.0
+        for r in face.traces:
+            # penalty, plus the upwind term on the element the face flows into
+            w_r = face.w * (face.rho[:, None] + (face.b if r.inflow else 0.0))
+            for c in face.traces:
+                block = -avg * eps * r.sign * np.einsum(
+                    "eq,mq,nq->emn", face.w * c.dnu[:, None],
+                    tab.tr[r.side], tab.dn[c.side])
+                block += avg * eps * c.sign * np.einsum(
+                    "eq,mq,nq->emn", face.w * r.dnu[:, None],
+                    tab.dn[r.side], tab.tr[c.side])
+                block += r.sign * c.sign * np.einsum(
+                    "eq,mq,nq->emn", w_r, tab.tr[r.side], tab.tr[c.side])
+                buf.add_blocks(block, r.elem * ndl, c.elem * ndl, ndl)
 
     total = dofmap.total_dofs
     matrix = buf.to_csr((total, total))
@@ -447,176 +445,25 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     return system
 
 
-def _edge_quad_geometry(group, axis, mesh, tab):
-    """Per-edge arrays (line, cell, rho, J, X, Y) for one edge family."""
-    line = np.array([e.line for e in group])
-    cell = np.array([e.cell for e in group])
-    rho = np.array([e.rho for e in group])
-    if axis == "v":
-        h = mesh.h_y[cell]
-        run0 = mesh.y_pts[cell]
-        y = run0[:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-        x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
-    else:
-        h = mesh.h_x[cell]
-        run0 = mesh.x_pts[cell]
-        x = run0[:, None] + (tab.t[None, :] + 1.0) * 0.5 * h[:, None]
-        y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
-    return line, cell, rho, 0.5 * h, x, y
-
-
-def _assemble_interior(buf, group, axis, mesh, problem, eps, tab, ndl, n):
-    """Interior-edge consistency/penalty terms plus the upwind jump term."""
-    if not group:
-        return
-    line, cell, rho, jac, x, y = _edge_quad_geometry(group, axis, mesh, tab)
-    wj = tab.w1[None, :] * jac[:, None]
-
-    if axis == "v":
-        hi_elem = line * n + cell          # element on the +x side
-        lo_elem = (line - 1) * n + cell
-        hi_face, lo_face = "L", "R"
-        h_hi, h_lo = mesh.h_x[line], mesh.h_x[line - 1]
-        dtab = tab.dxi
-        b_edge = _sample(problem.b1, x, y)
-    else:
-        hi_elem = cell * n + line          # element on the +y side
-        lo_elem = cell * n + (line - 1)
-        hi_face, lo_face = "B", "T"
-        h_hi, h_lo = mesh.h_y[line], mesh.h_y[line - 1]
-        dtab = tab.deta
-        b_edge = _sample(problem.b2, x, y)
-
-    plus = np.array([e.plus_elem for e in group])
-    plus_is_hi = plus == hi_elem
-    if not (np.all(plus_is_hi) or np.all(~plus_is_hi)):
-        raise ValueError("mixed plus-side conventions within one edge family")
-    if plus_is_hi[0]:
-        nu = -1.0
-        p_face, m_face = hi_face, lo_face
-        p_elem, m_elem = hi_elem, lo_elem
-        h_p, h_m = h_hi, h_lo
-    else:
-        nu = 1.0
-        p_face, m_face = lo_face, hi_face
-        p_elem, m_elem = lo_elem, hi_elem
-        h_p, h_m = h_lo, h_hi
-
-    sides = {
-        "P": (1.0, tab.tr[p_face], dtab[p_face], nu * 2.0 / h_p, p_elem),
-        "M": (-1.0, tab.tr[m_face], dtab[m_face], nu * 2.0 / h_m, m_elem),
-    }
-    for rname in ("P", "M"):
-        s_r, tr_r, dt_r, scale_r, elem_r = sides[rname]
-        for cname in ("P", "M"):
-            s_c, tr_c, dt_c, scale_c, elem_c = sides[cname]
-            block = -0.5 * eps * s_r * np.einsum(
-                "eq,mq,nq->emn", wj * scale_c[:, None], tr_r, dt_c)
-            block += 0.5 * eps * s_c * np.einsum(
-                "eq,mq,nq->emn", wj * scale_r[:, None], dt_r, tr_c)
-            block += s_r * s_c * np.einsum(
-                "eq,mq,nq->emn", wj * rho[:, None], tr_r, tr_c)
-            buf.add_blocks(block, elem_r * ndl, elem_c * ndl, ndl)
-
-    # upwind jump term: rows on the downwind (+x / +y) element
-    wb = wj * b_edge
-    tr_hi, tr_lo = tab.tr[hi_face], tab.tr[lo_face]
-    buf.add_blocks(np.einsum("eq,mq,nq->emn", wb, tr_hi, tr_hi),
-                   hi_elem * ndl, hi_elem * ndl, ndl)
-    buf.add_blocks(-np.einsum("eq,mq,nq->emn", wb, tr_hi, tr_lo),
-                   hi_elem * ndl, lo_elem * ndl, ndl)
-
-
-_BOUNDARY_FACE = {"left": "L", "right": "R", "bottom": "B", "top": "T"}
-
-
-def _assemble_boundary(buf, group, side, mesh, problem, eps, tab, ndl, n):
-    """Boundary-edge terms: single-trace consistency + penalty, and the
-    inflow-boundary upwind term on the left/bottom sides."""
-    if not group:
-        return
-    axis = "v" if side in ("left", "right") else "h"
-    line, cell, rho, jac, x, y = _edge_quad_geometry(group, axis, mesh, tab)
-    wj = tab.w1[None, :] * jac[:, None]
-    face = _BOUNDARY_FACE[side]
-
-    if axis == "v":
-        elem = (n - 1) * n + cell if side == "right" else cell
-        h_t = mesh.h_x[n - 1] if side == "right" else mesh.h_x[0]
-        nu = 1.0 if side == "right" else -1.0
-        dtab = tab.dxi[face]
-        b_edge = _sample(problem.b1, x, y)
-    else:
-        elem = cell * n + (n - 1) if side == "top" else cell * n
-        h_t = mesh.h_y[n - 1] if side == "top" else mesh.h_y[0]
-        nu = 1.0 if side == "top" else -1.0
-        dtab = tab.deta[face]
-        b_edge = _sample(problem.b2, x, y)
-
-    tr = tab.tr[face]
-    scale = nu * 2.0 / h_t
-    block = -eps * scale * np.einsum("eq,mq,nq->emn", wj, tr, dtab)
-    block += eps * scale * np.einsum("eq,mq,nq->emn", wj, dtab, tr)
-    block += np.einsum("eq,mq,nq->emn", wj * rho[:, None], tr, tr)
-    if side in ("left", "bottom"):
-        # inflow boundary: -(b.n) u v = +|b.n| u v
-        block += np.einsum("eq,mq,nq->emn", wj * b_edge, tr, tr)
-    buf.add_blocks(block, elem * ndl, elem * ndl, ndl)
-
-
 def boundary_dofs(mesh, dofmap):
-    """Global indices of nodal dofs sitting on the domain boundary."""
+    """Global indices of nodal dofs sitting on the domain boundary,
+    ascending."""
     n, k = mesh.config.n, dofmap.k
-    ndl = dofmap.ndof_local
-    out = []
-    for i in range(n):
-        for j in range(n):
-            base = dofmap.base(i, j)
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    if ((i == 0 and a == 0) or (i == n - 1 and a == k)
-                            or (j == 0 and b == 0) or (j == n - 1 and b == k)):
-                        out.append(base + a * (k + 1) + b)
-    return np.asarray(sorted(out), dtype=int)
+    i, j, a, b = np.ix_(np.arange(n), np.arange(n),
+                        np.arange(k + 1), np.arange(k + 1))
+    on_boundary = (((i == 0) & (a == 0)) | ((i == n - 1) & (a == k))
+                   | ((j == 0) & (b == 0)) | ((j == n - 1) & (b == k)))
+    # C order of (i, j, a, b) is the dof order (i*N + j)*(k+1)^2 + a*(k+1) + b
+    return np.flatnonzero(on_boundary)
 
 
 def _eliminate_boundary_dofs(system, mesh, dofmap):
     """Strong homogeneous Dirichlet: identity rows/zero columns on
     boundary-node dofs."""
     bdofs = boundary_dofs(mesh, dofmap)
-    a = system.matrix.tolil()
-    a[bdofs, :] = 0.0
-    a[:, bdofs] = 0.0
-    for d in bdofs:
-        a[d, d] = 1.0
-    system.matrix = a.tocsr()
+    keep = np.ones(dofmap.total_dofs)
+    keep[bdofs] = 0.0
+    d_keep = diags(keep, format="csr")
+    system.matrix = (d_keep @ system.matrix @ d_keep
+                     + diags(1.0 - keep, format="csr")).tocsr()
     system.rhs[bdofs] = 0.0
-
-
-def export_coordinate(system, path):
-    """Write the matrix in coordinate (row, col, value) text format."""
-    coo = system.matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# coordinate sparse matrix\n")
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")
-
-
-def load_coordinate(path):
-    """Read a matrix written by :func:`export_coordinate`."""
-    rows, cols, data = [], [], []
-    shape = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                parts = line.split()
-                if "shape" in parts:
-                    idx = parts.index("shape")
-                    shape = (int(parts[idx + 1]), int(parts[idx + 2]))
-                continue
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            data.append(float(v))
-    return coo_matrix((data, (rows, cols)), shape=shape).tocsr()

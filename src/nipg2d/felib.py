@@ -154,47 +154,6 @@ def reference_basis(k):
     return ReferenceBasis(k)
 
 
-def eval_basis(k, xi, eta):
-    """Evaluate all Q_k basis functions at (xi, eta).
-
-    Parameters
-    ----------
-    k : int
-        Polynomial degree.
-    xi, eta : float or ndarray
-        Reference coordinates in [-1, 1]; arrays must share a shape.
-
-    Returns
-    -------
-    ndarray
-        Shape ((k+1)^2,) for scalar input, ((k+1)^2, npts) for arrays.
-    """
-    basis = reference_basis(k)
-    scalar = np.isscalar(xi) and np.isscalar(eta)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    eta = np.atleast_1d(np.asarray(eta, dtype=float)).ravel()
-    vals = basis.eval_2d(np.column_stack([xi, eta]))
-    return vals[:, 0] if scalar else vals
-
-
-def eval_basis_grad(k, xi, eta):
-    """Evaluate reference gradients of all Q_k basis functions at (xi, eta).
-
-    Returns
-    -------
-    ndarray
-        Shape ((k+1)^2, 2) for scalar input, ((k+1)^2, 2, npts) for arrays;
-        the second axis is (d/dxi, d/deta).
-    """
-    basis = reference_basis(k)
-    scalar = np.isscalar(xi) and np.isscalar(eta)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    eta = np.atleast_1d(np.asarray(eta, dtype=float)).ravel()
-    gx, gy = basis.grad_2d(np.column_stack([xi, eta]))
-    out = np.stack([gx, gy], axis=1)
-    return out[:, :, 0] if scalar else out
-
-
 class VeeInterpolator:
     """Vertices-edges-element interpolation operator on the reference cell.
 
@@ -314,46 +273,6 @@ def vee_operator(k, nq):
     return VeeInterpolator(k, nq)
 
 
-def _vee_cached(k, nq):
-    return vee_operator(k, nq)
-
-
-def vee_interpolation_local(k, w, nq=None):
-    """Vertices-edges-element interpolant of ``w`` on the reference cell.
-
-    Parameters
-    ----------
-    k : int
-        Polynomial degree.
-    w : callable
-        ``w(xi, eta)`` accepting ndarray arguments.
-    nq : int, optional
-        Moment-quadrature points per direction (default k + 2).
-
-    Returns
-    -------
-    ndarray, shape ((k+1)^2,)
-        Nodal-basis coefficients of the interpolant.
-    """
-    return _vee_cached(k, (k + 2) if nq is None else int(nq)).apply(w)
-
-
-@lru_cache(maxsize=None)
-def local_mass_matrix(k, nq=None):
-    """Reference-cell mass matrix M[m, n] = integral of phi_m phi_n.
-
-    Uses an ``nq``-point Gauss rule per direction (default k + 2, which is
-    exact since the integrand has degree 2k <= 2 nq - 1).
-    """
-    nq = (k + 2) if nq is None else int(nq)
-    rule = gauss_legendre(nq)
-    basis = reference_basis(k)
-    bvals = basis.eval_2d(rule.points_2d())
-    mass = (bvals * rule.weights_2d()) @ bvals.T
-    mass.flags.writeable = False
-    return mass
-
-
 class L2Projector:
     """Local L2 projection onto Q_k on the reference cell.
 
@@ -391,41 +310,3 @@ def l2_projector(k, nq):
     """Cached :class:`L2Projector` for degree ``k`` with ``nq``-point
     quadrature."""
     return L2Projector(k, nq)
-
-
-def _l2_cached(k, nq):
-    return l2_projector(k, nq)
-
-
-def l2_projection_local(k, w, cell=None, nq=None):
-    """Local L2 projection of ``w`` onto Q_k.
-
-    Parameters
-    ----------
-    k : int
-        Polynomial degree.
-    w : callable
-        ``w(x, y)``; interpreted on the reference cell when ``cell`` is
-        None, otherwise on the physical cell.
-    cell : tuple (x0, x1, y0, y1), optional
-        Physical cell; the affine map cancels from both sides of the
-        projection identity, so only the sample coordinates change.
-    nq : int, optional
-        Quadrature points per direction for the right-hand side
-        (default k + 2).
-
-    Returns
-    -------
-    ndarray, shape ((k+1)^2,)
-        Nodal-basis coefficients of the projection.
-    """
-    proj = _l2_cached(k, (k + 2) if nq is None else int(nq))
-    pts = proj.points
-    if cell is None:
-        vals = w(pts[:, 0], pts[:, 1])
-    else:
-        x0, x1, y0, y1 = cell
-        x = x0 + (pts[:, 0] + 1.0) * 0.5 * (x1 - x0)
-        y = y0 + (pts[:, 1] + 1.0) * 0.5 * (y1 - y0)
-        vals = w(x, y)
-    return proj.apply_to_values(np.asarray(vals, dtype=float))

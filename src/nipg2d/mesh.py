@@ -23,12 +23,16 @@ interior-penalty weights:
 "Long" means the edge length equals the coarse spacing 2(1-lambda)/N in the
 edge's own direction; equivalently, the cell band the edge spans is coarse.
 Boundary edges are classified by the same geometric rule as interior ones.
+
+:func:`classify_edges` returns all 2N(N+1) edges as one :class:`EdgeSet`
+of parallel arrays (line, cell band, plus/minus element, normal sign,
+family, penalty), computed by broadcasting over the tensor grid.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -42,13 +46,14 @@ class RegionTag(Enum):
     OMEGA22 = "corner"
 
 
-class EdgeType(Enum):
-    """Penalty family of a mesh edge."""
+class EdgeType(IntEnum):
+    """Penalty family of a mesh edge; the value is the family code stored
+    in :attr:`EdgeSet.family`."""
 
-    M1 = "M1"
-    M2 = "M2"
-    M3 = "M3"
-    M4 = "M4"
+    M1 = 1
+    M2 = 2
+    M3 = 3
+    M4 = 4
 
 
 def penalty_weight(edge_type, n):
@@ -210,63 +215,55 @@ def region_of(mesh, i, j):
     return RegionTag.OMEGA12 if j < half else RegionTag.OMEGA22
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One mesh edge (an open segment between two mesh nodes).
+#: ``EdgeSet.minus`` entry of a boundary edge, which has no minus side
+NO_ELEMENT = -1
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeSet:
+    """All mesh edges (open segments between two mesh nodes), one array
+    entry per edge.
 
     Attributes
     ----------
-    orientation : str
+    orientation : ndarray of str
         "v" for vertical edges (constant x), "h" for horizontal.
-    line : int
+    line : ndarray of int
         Index of the mesh line the edge lies on (0..N), transverse to the
         edge direction.
-    cell : int
+    cell : ndarray of int
         Index of the cell band the edge spans along its own direction
         (0..N-1).
-    endpoints : tuple
-        ((x0, y0), (x1, y1)) with the second point larger in the running
-        coordinate.
-    length : float
-    plus_elem : int
-        Flat index of the element whose trace is the "plus" side; for
-        boundary edges, the single adjacent element.
-    minus_elem : int or None
-        Flat index of the "minus" element; None on the boundary.
-    normal : tuple
-        Unit normal nu = (nx, ny) fixing the jump/average orientation;
-        it points from the plus side toward the minus side, and outward
-        on the boundary.
-    edge_type : EdgeType
-    rho : float
-        Interior-penalty weight of the edge.
+    plus, minus : ndarray of int
+        Flat indices of the elements whose traces are the "plus" and the
+        "minus" side; a boundary edge has its single adjacent element as
+        plus side and :data:`NO_ELEMENT` as minus side.
+    normal : ndarray of float
+        Sign of the unit normal nu along the transverse axis: nu is
+        (normal, 0) on vertical and (0, normal) on horizontal edges.  It
+        points from the plus side toward the minus side, and outward on
+        the boundary.
+    family : ndarray of int
+        :class:`EdgeType` code of each edge.
+    rho : ndarray of float
+        Interior-penalty weight of each edge.
     """
 
-    orientation: str
-    line: int
-    cell: int
-    endpoints: tuple
-    length: float
-    plus_elem: int
-    minus_elem: int | None
-    normal: tuple
-    edge_type: EdgeType
-    rho: float
+    orientation: np.ndarray
+    line: np.ndarray
+    cell: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    normal: np.ndarray
+    family: np.ndarray
+    rho: np.ndarray
 
-    @property
-    def is_boundary(self):
-        return self.minus_elem is None
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
 
-
-def _edge_family(line, cell, half):
-    """Family of an edge on transverse line ``line`` spanning cell band
-    ``cell``; symmetric in the two orientations."""
-    long = cell < half  # the band spanned along the edge is coarse
-    if line == half:
-        return EdgeType.M4 if long else EdgeType.M3
-    if not long:
-        return EdgeType.M3
-    return EdgeType.M1 if line < half else EdgeType.M2
+    def __len__(self):
+        return self.line.size
 
 
 def classify_edges(mesh, numbering="standard"):
@@ -284,58 +281,40 @@ def classify_edges(mesh, numbering="standard"):
 
     Returns
     -------
-    list of Edge
+    EdgeSet
         Deterministic order: horizontal edges sorted by (line, cell), then
         vertical edges sorted by (line, cell).
     """
     if numbering not in ("standard", "reversed"):
         raise ValueError(f"unknown numbering convention: {numbering!r}")
-    flip = numbering == "reversed"
     n = mesh.config.n
     half = n // 2
-    edges = []
+    line = np.repeat(np.arange(n + 1), n)
+    cell = np.tile(np.arange(n), n + 1)
 
-    # horizontal edges: on y-line j, spanning x-cell i
-    for j in range(n + 1):
-        for i in range(n):
-            etype = _edge_family(j, i, half)
-            rho = penalty_weight(etype, n)
-            x0, x1 = mesh.x_pts[i], mesh.x_pts[i + 1]
-            y = mesh.y_pts[j]
-            ends = ((x0, y), (x1, y))
-            if j == 0:
-                plus, minus, normal = mesh.element_index(i, 0), None, (0.0, -1.0)
-            elif j == n:
-                plus, minus, normal = mesh.element_index(i, n - 1), None, (0.0, 1.0)
-            else:
-                upper = mesh.element_index(i, j)
-                lower = mesh.element_index(i, j - 1)
-                if flip:
-                    plus, minus, normal = lower, upper, (0.0, 1.0)
-                else:
-                    plus, minus, normal = upper, lower, (0.0, -1.0)
-            edges.append(Edge("h", j, i, ends, x1 - x0, plus, minus,
-                              normal, etype, rho))
+    # the family rule is the same for both orientations; "long" edges span
+    # a coarse cell band
+    long = cell < half
+    family = np.where(~long, EdgeType.M3,
+                      np.where(line == half, EdgeType.M4,
+                               np.where(line < half, EdgeType.M1,
+                                        EdgeType.M2)))
+    rho = np.array([penalty_weight(t, n) for t in EdgeType])[family - 1]
 
-    # vertical edges: on x-line i, spanning y-cell j
-    for i in range(n + 1):
-        for j in range(n):
-            etype = _edge_family(i, j, half)
-            rho = penalty_weight(etype, n)
-            y0, y1 = mesh.y_pts[j], mesh.y_pts[j + 1]
-            x = mesh.x_pts[i]
-            ends = ((x, y0), (x, y1))
-            if i == 0:
-                plus, minus, normal = mesh.element_index(0, j), None, (-1.0, 0.0)
-            elif i == n:
-                plus, minus, normal = mesh.element_index(n - 1, j), None, (1.0, 0.0)
-            else:
-                right = mesh.element_index(i, j)
-                left = mesh.element_index(i - 1, j)
-                if flip:
-                    plus, minus, normal = left, right, (1.0, 0.0)
-                else:
-                    plus, minus, normal = right, left, (-1.0, 0.0)
-            edges.append(Edge("v", i, j, ends, y1 - y0, plus, minus,
-                              normal, etype, rho))
-    return edges
+    # adjacent elements: "hi" above / right of the line, "lo" below / left
+    plus_lo = (line == n) | ((numbering == "reversed") & (line > 0))
+    boundary = (line == 0) | (line == n)
+    plus, minus = [], []
+    for hi, lo in ((cell * n + line, cell * n + line - 1),       # horizontal
+                   (line * n + cell, (line - 1) * n + cell)):    # vertical
+        plus.append(np.where(plus_lo, lo, hi))
+        minus.append(np.where(boundary, NO_ELEMENT,
+                              np.where(plus_lo, hi, lo)))
+    normal = np.where(plus_lo, 1.0, -1.0)
+
+    return EdgeSet(
+        orientation=np.repeat(np.array(["h", "v"]), line.size),
+        line=np.tile(line, 2), cell=np.tile(cell, 2),
+        plus=np.concatenate(plus), minus=np.concatenate(minus),
+        normal=np.tile(normal, 2), family=np.tile(family, 2),
+        rho=np.tile(rho, 2))

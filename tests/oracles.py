@@ -4,13 +4,14 @@ Everything here is written directly from the weak form and the norm
 definition with plain Python loops and generous quadrature, so the
 vectorized library code can be checked entry by entry.  Only the
 reference-cell basis evaluation is shared with the library; that layer
-is verified separately against finite differences and monomials.
+is verified separately against finite differences and monomials.  The
+edge-trace helpers at the end evaluate a library DGFunction pointwise.
 """
 
 import numpy as np
 
 from nipg2d.felib import gauss_legendre, reference_basis
-from nipg2d.mesh import EdgeType, penalty_weight
+from nipg2d.mesh import NO_ELEMENT, EdgeType, penalty_weight
 
 
 def _phys_basis(mesh, k, i, j, xi, eta):
@@ -365,3 +366,73 @@ def energy_components_bruteforce(v, problem, eps, nq=10):
                     traces += 0.5 * w[p] * jac1d * abs(bn) * term
     return {"grad": grad, "reaction": reaction, "penalty": penalty,
             "inflow_outflow": traces}
+
+
+def edge_segment(mesh, edges, idx):
+    """Fixed coordinate and running-coordinate range (lo, hi) of edge
+    ``idx``: x and the y-range for a vertical edge, y and the x-range for
+    a horizontal one."""
+    line, cell = edges.line[idx], edges.cell[idx]
+    if edges.orientation[idx] == "v":
+        return mesh.x_pts[line], (mesh.y_pts[cell], mesh.y_pts[cell + 1])
+    return mesh.y_pts[line], (mesh.x_pts[cell], mesh.x_pts[cell + 1])
+
+
+def trace_pair(v, edges, idx, s):
+    """Two-sided traces of a DGFunction along edge ``idx`` of an edge set.
+
+    ``s`` holds running physical coordinates along the edge (y-values for
+    a vertical edge, x-values for a horizontal one), inside the open
+    segment.  Returns the (plus, minus) traces; ``minus`` is None on a
+    boundary edge.
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    mesh = v.mesh
+    line = edges.line[idx]
+
+    def side_vals(elem):
+        i, j = mesh.element_ij(elem)
+        if edges.orientation[idx] == "v":
+            xi = 1.0 if i + 1 == line else -1.0
+            eta = 2.0 * (s - mesh.y_pts[j]) / mesh.h_y[j] - 1.0
+            return v.eval_in_element(i, j, np.full_like(s, xi), eta)
+        eta = 1.0 if j + 1 == line else -1.0
+        xi = 2.0 * (s - mesh.x_pts[i]) / mesh.h_x[i] - 1.0
+        return v.eval_in_element(i, j, xi, np.full_like(s, eta))
+
+    plus = side_vals(edges.plus[idx])
+    minus = None if edges.minus[idx] == NO_ELEMENT else side_vals(
+        edges.minus[idx])
+    return plus, minus
+
+
+def inflow_outflow_split(mesh, problem, i, j, nq=4):
+    """Partition the sides of element (i, j) by the sign of b . n.
+
+    Returns (inflow, outflow), tuples of side names from ("left",
+    "bottom", "right", "top"); a side is inflow when b . n < 0 at every
+    sample point, outflow when b . n >= 0 everywhere.  Raises ValueError
+    if b . n changes sign within one side.
+    """
+    rule = gauss_legendre(nq)
+    x0, x1, y0, y1 = mesh.cell_bounds(i, j)
+    xs = x0 + (rule.nodes + 1.0) * 0.5 * (x1 - x0)
+    ys = y0 + (rule.nodes + 1.0) * 0.5 * (y1 - y0)
+    sides = {
+        "left": -np.asarray(problem.b1(np.full_like(ys, x0), ys), dtype=float),
+        "right": np.asarray(problem.b1(np.full_like(ys, x1), ys), dtype=float),
+        "bottom": -np.asarray(problem.b2(xs, np.full_like(xs, y0)), dtype=float),
+        "top": np.asarray(problem.b2(xs, np.full_like(xs, y1)), dtype=float),
+    }
+    inflow, outflow = [], []
+    for name in ("left", "bottom", "right", "top"):
+        bn = np.broadcast_to(sides[name], (nq,))
+        if np.all(bn < 0.0):
+            inflow.append(name)
+        elif np.all(bn >= 0.0):
+            outflow.append(name)
+        else:
+            raise ValueError(
+                f"b . n changes sign on side {name!r} of element ({i}, {j}); "
+                "the upwind splitting needs a single sign per side")
+    return tuple(inflow), tuple(outflow)

@@ -13,7 +13,7 @@ from nipg2d.analysis import (
 )
 from nipg2d.assembly import ProblemData
 from nipg2d.felib import gauss_legendre
-from nipg2d.mesh import RegionTag, region_of
+from nipg2d.mesh import NO_ELEMENT, RegionTag, region_of
 
 import oracles
 from helpers import as_dg, error_chain, make_case, random_dg_coefficients
@@ -53,15 +53,12 @@ class TestVeeInterpolant:
         case = make_case(k=1, n=8, eps=1e-3)
         v = interpolate_vee_global(case.problem.exact.u,
                                    case.mesh, case.dofmap)
-        interior = [e for e in case.edges if e.minus_elem is not None]
+        interior = np.flatnonzero(case.edges.minus != NO_ELEMENT)
         picks = RNG.choice(len(interior), size=10, replace=False)
-        from nipg2d import trace_pair
-        for idx in picks:
-            edge = interior[idx]
-            lo = edge.endpoints[0][1 if edge.orientation == "v" else 0]
-            hi = edge.endpoints[1][1 if edge.orientation == "v" else 0]
+        for idx in interior[picks]:
+            _, (lo, hi) = oracles.edge_segment(case.mesh, case.edges, idx)
             s = np.linspace(lo, hi, 5)[1:-1]
-            plus, minus = trace_pair(v, edge, s)
+            plus, minus = oracles.trace_pair(v, case.edges, idx, s)
             np.testing.assert_allclose(plus, minus, atol=1e-10)
 
 

@@ -20,23 +20,28 @@ from nipg2d import (
     boundary_layer_problem,
     boundary_dofs,
     classify_edges,
-    export_coordinate,
-    inflow_outflow_split,
-    load_coordinate,
-    trace_pair,
 )
+import nipg2d
 from nipg2d.analysis import interpolate_vee_global
 
 from helpers import make_case, make_mesh, random_dg_coefficients
+from oracles import edge_segment, inflow_outflow_split, trace_pair
 
 RNG = np.random.default_rng(20240915)
 
 
 def find_edge(edges, orientation, line, cell):
-    for e in edges:
-        if (e.orientation, e.line, e.cell) == (orientation, line, cell):
-            return e
-    raise AssertionError(f"no edge {(orientation, line, cell)}")
+    """Index of the edge with the given orientation, line and cell band."""
+    idx = np.flatnonzero((edges.orientation == orientation)
+                         & (edges.line == line) & (edges.cell == cell))
+    if idx.size != 1:
+        raise AssertionError(f"no edge {(orientation, line, cell)}")
+    return int(idx[0])
+
+
+def test_public_names_resolve():
+    for name in nipg2d.__all__:
+        assert hasattr(nipg2d, name), name
 
 
 class TestDofMap:
@@ -73,15 +78,14 @@ class TestTracePair:
         case = self.case
         g = lambda x, y: 2.0 * x - 3.0 * y + x * y + 1.0
         v = interpolate_vee_global(g, case.mesh, case.dofmap)
-        for edge in case.edges:
-            a, b = edge.endpoints[0], edge.endpoints[1]
-            if edge.orientation == "v":
-                s = np.linspace(a[1], b[1], 7)[1:-1]
-                xs, ys = np.full_like(s, a[0]), s
+        for idx in range(len(case.edges)):
+            fixed, (lo, hi) = edge_segment(case.mesh, case.edges, idx)
+            s = np.linspace(lo, hi, 7)[1:-1]
+            if case.edges.orientation[idx] == "v":
+                xs, ys = np.full_like(s, fixed), s
             else:
-                s = np.linspace(a[0], b[0], 7)[1:-1]
-                xs, ys = s, np.full_like(s, a[1])
-            plus, minus = trace_pair(v, edge, s)
+                xs, ys = s, np.full_like(s, fixed)
+            plus, minus = trace_pair(v, case.edges, idx, s)
             np.testing.assert_allclose(plus, g(xs, ys), atol=1e-12)
             if minus is not None:
                 np.testing.assert_allclose(minus, plus, atol=1e-12)
@@ -96,15 +100,18 @@ class TestTracePair:
         mid_x = 0.5 * (case.mesh.x_pts[1] + case.mesh.x_pts[2])
 
         # Left vertical edge of (1, 1): plus side is the right element (1, 1).
-        plus, minus = trace_pair(v, find_edge(case.edges, "v", 1, 1), mid_y)
+        idx = find_edge(case.edges, "v", 1, 1)
+        plus, minus = trace_pair(v, case.edges, idx, mid_y)
         assert plus[0] == pytest.approx(1.0, abs=1e-14)
         assert minus[0] == pytest.approx(0.0, abs=1e-14)
         # Right vertical edge: plus side is now element (2, 1) where v = 0.
-        plus, minus = trace_pair(v, find_edge(case.edges, "v", 2, 1), mid_y)
+        idx = find_edge(case.edges, "v", 2, 1)
+        plus, minus = trace_pair(v, case.edges, idx, mid_y)
         assert plus[0] == pytest.approx(0.0, abs=1e-14)
         assert minus[0] == pytest.approx(1.0, abs=1e-14)
         # Bottom horizontal edge of (1, 1): plus side is the upper element.
-        plus, minus = trace_pair(v, find_edge(case.edges, "h", 1, 1), mid_x)
+        idx = find_edge(case.edges, "h", 1, 1)
+        plus, minus = trace_pair(v, case.edges, idx, mid_x)
         assert plus[0] == pytest.approx(1.0, abs=1e-14)
         assert minus[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -114,10 +121,10 @@ class TestTracePair:
         v = DGFunction(case.mesh, case.dofmap,
                        random_dg_coefficients(RNG, case.dofmap))
         delta = 1e-10
-        edge = find_edge(case.edges, "v", 4, 2)  # transition line, interior
-        x_e = edge.endpoints[0][0]
-        s = np.array([0.5 * (edge.endpoints[0][1] + edge.endpoints[1][1])])
-        plus, minus = trace_pair(v, edge, s)
+        idx = find_edge(case.edges, "v", 4, 2)  # transition line, interior
+        x_e, (lo, hi) = edge_segment(case.mesh, case.edges, idx)
+        s = np.array([0.5 * (lo + hi)])
+        plus, minus = trace_pair(v, case.edges, idx, s)
         assert plus[0] == pytest.approx(v.eval(x_e + delta, s[0]), abs=1e-5)
         assert minus[0] == pytest.approx(v.eval(x_e - delta, s[0]), abs=1e-5)
 
@@ -125,8 +132,9 @@ class TestTracePair:
         case = self.case
         v = DGFunction(case.mesh, case.dofmap,
                        np.ones(case.dofmap.total_dofs))
-        edge = find_edge(case.edges, "v", 0, 3)
-        plus, minus = trace_pair(v, edge, [edge.endpoints[0][1] + 1e-3])
+        idx = find_edge(case.edges, "v", 0, 3)
+        _, (lo, _) = edge_segment(case.mesh, case.edges, idx)
+        plus, minus = trace_pair(v, case.edges, idx, [lo + 1e-3])
         assert minus is None
         assert plus[0] == pytest.approx(1.0, abs=1e-14)
 
@@ -173,12 +181,13 @@ class TestMatrixOracle:
         np.testing.assert_allclose(system.matrix.toarray(), dense,
                                    atol=1e-12, rtol=0.0)
 
-    def test_two_cell_mesh_strong_mode_matches_dense_reference(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_cell_mesh_strong_mode_matches_dense_reference(self, k):
         import oracles
 
         mesh = make_mesh(2, 0.05, 2.5)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=1, n=2)
+        dofmap = DofMap(k=k, n=2)
         problem = boundary_layer_problem(0.05)
         system = assemble(mesh, edges, dofmap, problem, eps=0.05,
                           dirichlet="strong")
@@ -354,21 +363,3 @@ class TestSparsityAndMetadata:
         bdofs = boundary_dofs(case.mesh, case.dofmap)
         np.testing.assert_allclose(sol[bdofs], 0.0, atol=1e-14)
         assert (sol != 0.0).any()
-
-
-class TestCoordinateExport:
-    def test_round_trip_preserves_system(self, tmp_path):
-        case = make_case(k=1, n=8, eps=1e-3)
-        path = tmp_path / "system.mtx"
-        export_coordinate(case.system, path)
-        matrix = load_coordinate(path)
-        diff = (matrix - case.system.matrix).tocoo()
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-
-    def test_header_declares_shape(self, tmp_path):
-        case = make_case(k=1, n=8, eps=1e-3)
-        path = tmp_path / "system.mtx"
-        export_coordinate(case.system, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# coordinate sparse matrix")
-        assert lines[1].split()[1:3] == ["shape", "256"]

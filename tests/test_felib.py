@@ -6,14 +6,16 @@ import pytest
 from nipg2d.felib import (
     L2Projector,
     VeeInterpolator,
-    eval_basis,
-    eval_basis_grad,
     gauss_legendre,
-    l2_projection_local,
-    local_mass_matrix,
+    l2_projector,
     reference_basis,
-    vee_interpolation_local,
+    vee_operator,
 )
+
+
+def eval_basis(k, xi, eta):
+    """All Q_k basis functions at the points (xi, eta), ((k+1)^2, npts)."""
+    return reference_basis(k).eval_2d(np.column_stack([xi, eta]))
 
 
 class TestGaussLegendre:
@@ -75,9 +77,9 @@ class TestReferenceBasis:
         nodes = basis.nodes_1d
         coeffs = np.array([nodes[a] * nodes[b]
                            for a in range(2) for b in range(2)])
-        grads = eval_basis_grad(1, np.array([0.3]), np.array([-0.2]))
-        assert coeffs @ grads[:, 0, 0] == pytest.approx(-0.2, abs=1e-14)
-        assert coeffs @ grads[:, 1, 0] == pytest.approx(0.3, abs=1e-14)
+        gx, gy = basis.grad_2d(np.array([[0.3, -0.2]]))
+        assert coeffs @ gx[:, 0] == pytest.approx(-0.2, abs=1e-14)
+        assert coeffs @ gy[:, 0] == pytest.approx(0.3, abs=1e-14)
 
     def test_random_cubic_reproduced_pointwise(self):
         rng = np.random.default_rng(11)
@@ -102,13 +104,13 @@ class TestReferenceBasis:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.9, 0.9, size=(10, 2))
         h = 1e-6
-        grads = eval_basis_grad(k, pts[:, 0], pts[:, 1])
+        gx, gy = reference_basis(k).grad_2d(pts)
         fd_x = (eval_basis(k, pts[:, 0] + h, pts[:, 1])
                 - eval_basis(k, pts[:, 0] - h, pts[:, 1])) / (2 * h)
         fd_y = (eval_basis(k, pts[:, 0], pts[:, 1] + h)
                 - eval_basis(k, pts[:, 0], pts[:, 1] - h)) / (2 * h)
-        assert np.max(np.abs(grads[:, 0, :] - fd_x)) <= 1e-7
-        assert np.max(np.abs(grads[:, 1, :] - fd_y)) <= 1e-7
+        assert np.max(np.abs(gx - fd_x)) <= 1e-7
+        assert np.max(np.abs(gy - fd_y)) <= 1e-7
 
 
 def _random_qk(rng, k):
@@ -134,14 +136,14 @@ class TestVeeInterpolation:
     def test_k1_reduces_to_vertex_interpolation(self):
         rng = np.random.default_rng(3)
         w = _random_qk(rng, 1)
-        coeffs = vee_interpolation_local(1, w)
+        coeffs = vee_operator(1, 3).apply(w)
         assert _pointwise_max_error(1, coeffs, w) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_reproduces_qk(self, k):
         rng = np.random.default_rng(17 + k)
         w = _random_qk(rng, k)
-        coeffs = vee_interpolation_local(k, w)
+        coeffs = vee_operator(k, k + 2).apply(w)
         assert _pointwise_max_error(k, coeffs, w) <= 1e-12
 
     def test_condition_families_for_cubic_input(self):
@@ -153,7 +155,7 @@ class TestVeeInterpolation:
         def w(xi, eta):
             return np.asarray(xi, dtype=float) ** 3 + 0.0 * np.asarray(eta)
 
-        coeffs = vee_interpolation_local(k, w)
+        coeffs = vee_operator(k, k + 2).apply(w)
         rule = gauss_legendre(2 * (k + 2))
         t, wt = rule.nodes, rule.weights
 
@@ -196,7 +198,7 @@ class TestVeeInterpolation:
             def w(xi, eta):
                 return np.sin(a * xi + b) * np.cos(c * eta + d)
 
-            coeffs = vee_interpolation_local(k, w)
+            coeffs = vee_operator(k, k + 2).apply(w)
             vals = eval_basis(k, xs.ravel(), ys.ravel())
             sup_in = np.max(np.abs(w(xs.ravel(), ys.ravel())))
             sup_out = np.max(np.abs(coeffs @ vals))
@@ -209,11 +211,11 @@ class TestLocalL2Projection:
     def test_reproduces_qk(self, k):
         rng = np.random.default_rng(41 + k)
         w = _random_qk(rng, k)
-        coeffs = l2_projection_local(k, w)
+        coeffs = l2_projector(k, k + 2).apply(w)
         assert _pointwise_max_error(k, coeffs, w) <= 1e-12
 
     def test_projects_constant(self):
-        coeffs = l2_projection_local(2, lambda xi, eta: np.full_like(
+        coeffs = l2_projector(2, 4).apply(lambda xi, eta: np.full_like(
             np.asarray(xi, dtype=float), 3.25))
         vals = eval_basis(2, np.array([0.37]), np.array([-0.61]))
         assert coeffs @ vals == pytest.approx(3.25, abs=1e-13)
@@ -222,7 +224,7 @@ class TestLocalL2Projection:
         def w(xi, eta):
             return np.asarray(xi, dtype=float) ** 2 + 0.0 * np.asarray(eta)
 
-        coeffs = l2_projection_local(1, w, nq=4)
+        coeffs = l2_projector(1, 4).apply(w)
         # the best bilinear approximation of xi^2 is the constant 1/3
         assert np.allclose(coeffs, 1.0 / 3.0, atol=1e-13)
         rule = gauss_legendre(4)
@@ -245,6 +247,13 @@ class TestLocalL2Projection:
         combo = op.apply_to_values(-1.5 * w1 + 0.3 * w2)
         parts = -1.5 * op.apply_to_values(w1) + 0.3 * op.apply_to_values(w2)
         assert np.max(np.abs(combo - parts)) <= 1e-12
+
+
+def local_mass_matrix(k):
+    """Reference-cell mass matrix; the (k+2)-point rule is exact for it."""
+    rule = gauss_legendre(k + 2)
+    vals = reference_basis(k).eval_2d(rule.points_2d())
+    return (vals * rule.weights_2d()) @ vals.T
 
 
 class TestLocalMassMatrix:

@@ -1,11 +1,13 @@
 """Two-band mesh construction, region tagging and edge classification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nipg2d.mesh import (
+    NO_ELEMENT,
     EdgeType,
     MeshConfig,
     RegionTag,
@@ -115,53 +117,59 @@ class TestRegionTags:
             region_of(grid, 0, -1)
 
 
+def find_edges(edges, orientation, line, cell):
+    return np.flatnonzero((edges.orientation == orientation)
+                          & (edges.line == line) & (edges.cell == cell))
+
+
 class TestEdgeClassification:
     def test_counts(self):
         n = 8
         edges = classify_edges(make_mesh(n, 1e-3, 2.5))
         assert len(edges) == 2 * n * (n + 1)
-        assert sum(1 for e in edges if e.is_boundary) == 4 * n
-        assert sum(1 for e in edges if not e.is_boundary) == 2 * n * (n - 1)
+        boundary = edges.minus == NO_ELEMENT
+        assert np.count_nonzero(boundary) == 4 * n
+        assert np.count_nonzero(~boundary) == 2 * n * (n - 1)
 
     def test_penalty_schedule(self):
         n = 8
         edges = classify_edges(make_mesh(n, 1e-3, 2.5))
         expected = {EdgeType.M1: 1.0, EdgeType.M2: float(n * n),
                     EdgeType.M3: float(n), EdgeType.M4: float(n)}
-        for e in edges:
-            assert e.rho == expected[e.edge_type]
+        for family, rho in zip(edges.family, edges.rho):
+            assert rho == expected[EdgeType(family)]
         for t, rho in expected.items():
             assert penalty_weight(t, n) == rho
 
     def test_transition_line_edge_is_m4(self):
         grid = make_mesh(8, 1e-3, 2.5)
         edges = classify_edges(grid)
-        target = [e for e in edges
-                  if e.orientation == "v" and e.line == 4 and e.cell == 0]
+        target = find_edges(edges, "v", 4, 0)
         assert len(target) == 1
-        assert target[0].edge_type is EdgeType.M4
-        assert target[0].rho == 8.0
-        assert target[0].endpoints[0][0] == pytest.approx(
+        assert edges.family[target[0]] == EdgeType.M4
+        assert edges.rho[target[0]] == 8.0
+        assert grid.x_pts[edges.line[target[0]]] == pytest.approx(
             1.0 - grid.lambda_x, abs=1e-15)
 
     def test_corner_block_edge_is_m3(self):
         grid = make_mesh(8, 1e-3, 2.5)
         edges = classify_edges(grid)
-        target = [e for e in edges
-                  if e.orientation == "h" and e.line == 6 and e.cell == 5]
+        target = find_edges(edges, "h", 6, 5)
         assert len(target) == 1
-        assert target[0].edge_type is EdgeType.M3
-        assert target[0].rho == 8.0
+        assert edges.family[target[0]] == EdgeType.M3
+        assert edges.rho[target[0]] == 8.0
 
     @pytest.mark.parametrize("n,eps", [(8, 1e-3), (8, 1e-6), (12, 1e-4)])
     def test_types_match_geometric_census(self, n, eps):
         grid = make_mesh(n, eps, 2.5)
         edges = classify_edges(grid)
         counts = {t: 0 for t in EdgeType}
-        for e in edges:
-            counts[e.edge_type] += 1
-            assert e.edge_type is oracles.classify_edge_by_geometry(
-                grid, e.orientation, e.line, e.cell)
+        for idx in range(len(edges)):
+            family = EdgeType(edges.family[idx])
+            counts[family] += 1
+            assert family is oracles.classify_edge_by_geometry(
+                grid, edges.orientation[idx], edges.line[idx],
+                edges.cell[idx])
         assert counts == oracles.census_by_geometry(grid)
         assert sum(counts.values()) == 2 * n * (n + 1)
 
@@ -172,40 +180,48 @@ class TestEdgeClassification:
 
     def test_deterministic_recomputation(self):
         grid = make_mesh(8, 1e-3, 2.5)
-        assert classify_edges(grid) == classify_edges(grid)
+        first, second = classify_edges(grid), classify_edges(grid)
+        for field in dataclasses.fields(first):
+            np.testing.assert_array_equal(getattr(first, field.name),
+                                          getattr(second, field.name))
 
     def test_boundary_edges_follow_the_same_region_rule(self):
         grid = make_mesh(8, 1e-3, 2.5)
         edges = classify_edges(grid)
         # long edge on the left boundary, inside the coarse band: unit
         # penalty; short edge on the right boundary: M3
-        left = [e for e in edges
-                if e.orientation == "v" and e.line == 0 and e.cell == 0][0]
-        assert left.edge_type is EdgeType.M1
-        right_fine = [e for e in edges
-                      if e.orientation == "v" and e.line == 8 and e.cell == 6]
-        assert right_fine[0].edge_type is EdgeType.M3
+        left = find_edges(edges, "v", 0, 0)[0]
+        assert edges.family[left] == EdgeType.M1
+        right_fine = find_edges(edges, "v", 8, 6)[0]
+        assert edges.family[right_fine] == EdgeType.M3
         # long edge on the right boundary spanning a coarse y-band lies in
         # the x-layer strip: quadratic penalty family
-        right_long = [e for e in edges
-                      if e.orientation == "v" and e.line == 8
-                      and e.cell == 0][0]
-        assert right_long.edge_type is EdgeType.M2
-        assert right_long.rho == 64.0
+        right_long = find_edges(edges, "v", 8, 0)[0]
+        assert edges.family[right_long] == EdgeType.M2
+        assert edges.rho[right_long] == 64.0
 
-    def test_normals_and_sides_standard_numbering(self):
+    @pytest.mark.parametrize("numbering", ["standard", "reversed"])
+    def test_normals_and_sides_standard_numbering(self, numbering):
         grid = make_mesh(8, 1e-3, 2.5)
-        for e in classify_edges(grid):
-            if e.is_boundary:
-                assert e.minus_elem is None
-                # outward normal on the four boundary lines
-                if e.orientation == "v":
-                    assert e.normal == ((-1.0, 0.0) if e.line == 0
-                                        else (1.0, 0.0))
-                else:
-                    assert e.normal == ((0.0, -1.0) if e.line == 0
-                                        else (0.0, 1.0))
-            else:
-                assert e.plus_elem > e.minus_elem
-                assert e.normal == ((-1.0, 0.0) if e.orientation == "v"
-                                    else (0.0, -1.0))
+        edges = classify_edges(grid, numbering=numbering)
+        standard = classify_edges(grid)
+        boundary = edges.minus == NO_ELEMENT
+        np.testing.assert_array_equal(
+            boundary, (edges.line == 0) | (edges.line == 8))
+        # outward normal on the four boundary lines, and the same single
+        # adjacent element in both numberings
+        np.testing.assert_array_equal(
+            edges.normal[boundary],
+            np.where(edges.line[boundary] == 0, -1.0, 1.0))
+        np.testing.assert_array_equal(edges.plus[boundary],
+                                      standard.plus[boundary])
+        interior = ~boundary
+        if numbering == "standard":
+            assert np.all(edges.plus[interior] > edges.minus[interior])
+            assert np.all(edges.normal[interior] == -1.0)
+        else:
+            np.testing.assert_array_equal(edges.plus[interior],
+                                          standard.minus[interior])
+            np.testing.assert_array_equal(edges.minus[interior],
+                                          standard.plus[interior])
+            assert np.all(edges.normal[interior] == 1.0)
