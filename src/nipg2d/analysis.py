@@ -25,25 +25,8 @@ space:
 import numpy as np
 from dataclasses import dataclass, field
 
-from .assembly import DGFunction, _faces, _RefTables, _sample
-from .felib import l2_projector, vee_operator
-
-
-def _element_arrays(mesh):
-    """Flat-order (E = i*N + j) element geometry arrays."""
-    n = mesh.config.n
-    i_e = np.repeat(np.arange(n), n)
-    j_e = np.tile(np.arange(n), n)
-    return (i_e, j_e, mesh.h_x[i_e], mesh.h_y[j_e],
-            mesh.x_pts[i_e], mesh.y_pts[j_e])
-
-
-def _physical_points(mesh, ref_points):
-    """Map reference points (npts, 2) into every element; (ne, npts) pair."""
-    _, _, hx, hy, x0, y0 = _element_arrays(mesh)
-    x = x0[:, None] + (ref_points[None, :, 0] + 1.0) * 0.5 * hx[:, None]
-    y = y0[:, None] + (ref_points[None, :, 1] + 1.0) * 0.5 * hy[:, None]
-    return x, y
+from .assembly import DGFunction, _cells, _faces, _sample
+from .felib import l2_projector, reference_tables, vee_operator
 
 
 def interpolate_vee_global(u, mesh, dofmap, nq=None):
@@ -64,8 +47,8 @@ def interpolate_vee_global(u, mesh, dofmap, nq=None):
         Continuous across edges up to roundoff.
     """
     op = vee_operator(dofmap.k, (dofmap.k + 2) if nq is None else int(nq))
-    x, y = _physical_points(mesh, op.points)
-    coeffs = op.apply_to_values(np.asarray(u(x, y), dtype=float))
+    _, _, x, y = _cells(mesh, *op.points.T)
+    coeffs = op.apply_to_values(u(x, y))
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
@@ -78,15 +61,12 @@ def interpolate_composite(u, mesh, dofmap, nq=None):
     """
     vee = interpolate_vee_global(u, mesh, dofmap, nq=nq)
     proj = l2_projector(dofmap.k, (dofmap.k + 2) if nq is None else int(nq))
-    i_e, j_e, *_ = _element_arrays(mesh)
-    half = mesh.config.n // 2
-    mask = (i_e < half) & (j_e < half)      # the coarse-coarse region
-    if not np.any(mask):
-        return vee
-    x, y = _physical_points(mesh, proj.points)
-    vals = np.asarray(u(x[mask], y[mask]), dtype=float)
-    coeffs = vee.coefficients.reshape(mesh.n_elements, -1).copy()
-    coeffs[mask] = proj.apply_to_values(vals)
+    n = mesh.config.n
+    coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
+    _, _, x, y = _cells(mesh, *proj.points.T)
+    vals = u(x.reshape(n, n, -1)[coarse], y.reshape(n, n, -1)[coarse])
+    coeffs = vee.coefficients.reshape(n, n, -1).copy()
+    coeffs[coarse] = proj.apply_to_values(vals)
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
@@ -136,13 +116,11 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
     mesh, dofmap = v.mesh, v.dofmap
     k = dofmap.k
     nq = (k + 3) if quad_order is None else int(quad_order)
-    tab = _RefTables(k, nq)
-    ne = mesh.n_elements
-    coeffs = v.coefficients.reshape(ne, dofmap.ndof_local)
+    tab = reference_tables(k, nq)
+    coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
 
     # volume parts
-    _, _, hx, hy, _, _ = _element_arrays(mesh)
-    x_q, y_q = _physical_points(mesh, np.column_stack([tab.xi2, tab.eta2]))
+    hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     c0sq = (_sample(problem.c, x_q, y_q)
             - 0.5 * _sample(problem.div_b, x_q, y_q))
     if c0sq.min() < 0.0:
@@ -172,9 +150,8 @@ def broken_l2_error(u, v, quad_order=None):
     """Broken L2 norm of u - v for a callable u and DGFunction v."""
     mesh, dofmap = v.mesh, v.dofmap
     nq = (dofmap.k + 3) if quad_order is None else int(quad_order)
-    tab = _RefTables(dofmap.k, nq)
-    _, _, hx, hy, _, _ = _element_arrays(mesh)
-    x_q, y_q = _physical_points(mesh, np.column_stack([tab.xi2, tab.eta2]))
+    tab = reference_tables(dofmap.k, nq)
+    hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
     diff = np.asarray(u(x_q, y_q), dtype=float) - coeffs @ tab.vals
     area = (0.25 * hx * hy)[:, None] * tab.w2[None, :]

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from scipy.sparse import coo_matrix, csr_matrix, diags
 
-from .felib import gauss_legendre, reference_basis
+from .felib import (BOTTOM, LEFT, RIGHT, TOP, reference_basis,
+                    reference_tables)
 from .mesh import NO_ELEMENT
 
 
@@ -183,34 +184,19 @@ def _sample(fn, x, y):
     return out
 
 
-# reference sides of the cell, indexing the side tables of _RefTables
-_LEFT, _RIGHT, _BOTTOM, _TOP = range(4)
+def _cells(mesh, xi, eta):
+    """Element geometry in flat order E = i*N + j.
 
-
-class _RefTables:
-    """Reference-cell value/gradient tables shared by assembly and norms."""
-
-    def __init__(self, k, nq):
-        basis = reference_basis(k)
-        rule = gauss_legendre(nq)
-        self.k, self.nq = k, nq
-        self.t = rule.nodes
-        self.w1 = rule.weights
-        pts = rule.points_2d()
-        self.xi2, self.eta2 = pts[:, 0], pts[:, 1]
-        self.w2 = rule.weights_2d()
-        self.vals = basis.eval_2d(pts)
-        self.gx, self.gy = basis.grad_2d(pts)
-        ones = np.ones_like(rule.nodes)
-        side_pts = (np.column_stack([-ones, rule.nodes]),
-                    np.column_stack([ones, rule.nodes]),
-                    np.column_stack([rule.nodes, -ones]),
-                    np.column_stack([rule.nodes, ones]))
-        # per side: basis traces, and the reference derivative transverse
-        # to the side (d/dxi on left/right, d/deta on bottom/top)
-        self.tr = [basis.eval_2d(p) for p in side_pts]
-        self.dn = [basis.grad_2d(p)[side // 2]
-                   for side, p in enumerate(side_pts)]
+    Returns the widths ``hx``, ``hy`` (ne,) and the images ``x``, ``y``
+    (ne, npts) of the reference points (xi, eta) in every element.
+    """
+    n = mesh.config.n
+    i = np.repeat(np.arange(n), n)
+    j = np.tile(np.arange(n), n)
+    hx, hy = mesh.h_x[i], mesh.h_y[j]
+    x = mesh.x_pts[i][:, None] + (np.asarray(xi) + 1.0) * 0.5 * hx[:, None]
+    y = mesh.y_pts[j][:, None] + (np.asarray(eta) + 1.0) * 0.5 * hy[:, None]
+    return hx, hy, x, y
 
 
 @dataclass(frozen=True)
@@ -232,7 +218,7 @@ class _Trace:
     def inflow(self):
         """Whether the faces are inflow faces of ``elem`` (b . n < 0 for a
         componentwise positive convection field)."""
-        return self.side in (_LEFT, _BOTTOM)
+        return self.side in (LEFT, BOTTOM)
 
 
 @dataclass(frozen=True)
@@ -258,18 +244,16 @@ def _faces(mesh, edges, problem, tab):
     meets them and by whether a minus side exists, so every batch uses one
     trace table per side whatever the numbering convention.
     """
-    n = mesh.config.n
-    # widths of element E = i*N + j across vertical (h_x[i]) and
-    # horizontal (h_y[j]) faces
-    width_x, width_y = np.repeat(mesh.h_x, n), np.tile(mesh.h_y, n)
-    plus_side = (np.where(edges.orientation == "v", _LEFT, _BOTTOM)
+    # element widths across vertical (hx) and horizontal (hy) faces
+    width_x, width_y, _, _ = _cells(mesh, (), ())
+    plus_side = (np.where(edges.orientation == "v", LEFT, BOTTOM)
                  + (edges.normal > 0))
     key = 2 * plus_side + (edges.minus == NO_ELEMENT)
     for code in np.unique(key):
         idx = np.flatnonzero(key == code)
         side, on_boundary = divmod(int(code), 2)
         line, cell = edges.line[idx], edges.cell[idx]
-        if side in (_LEFT, _RIGHT):
+        if side in (LEFT, RIGHT):
             h = mesh.h_y[cell]
             y = mesh.y_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
             x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
@@ -281,7 +265,7 @@ def _faces(mesh, edges, problem, tab):
             y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
             b = _sample(problem.b2, x, y)
             width = width_y
-        nu = 1.0 if side in (_RIGHT, _TOP) else -1.0
+        nu = 1.0 if side in (RIGHT, TOP) else -1.0
         sides = [(edges.plus[idx], side, 1.0)]
         if not on_boundary:
             # the minus element meets the edge on the opposite side
@@ -367,17 +351,12 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
         raise ValueError(
             f"quadrature order {nq} too low for degree {k}; need >= {k + 1}")
 
-    tab = _RefTables(k, nq)
+    tab = reference_tables(k, nq)
     ndl = dofmap.ndof_local
     buf = _TripletBuffer()
 
     # ---- element volumes -------------------------------------------------
-    i_e = np.repeat(np.arange(n), n)       # flat element order E = i*n + j
-    j_e = np.tile(np.arange(n), n)
-    hx = mesh.h_x[i_e]
-    hy = mesh.h_y[j_e]
-    x_q = mesh.x_pts[i_e][:, None] + (tab.xi2 + 1.0) * 0.5 * hx[:, None]
-    y_q = mesh.y_pts[j_e][:, None] + (tab.eta2 + 1.0) * 0.5 * hy[:, None]
+    hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     _check_coefficients(problem, x_q, y_q,
                         mesh.config.beta1, mesh.config.beta2)
 

@@ -4,6 +4,12 @@ Everything in this module lives on the reference cell K = (-1, 1)^2 (or the
 reference interval (-1, 1) for one-dimensional pieces).  Physical-cell
 quantities are obtained by affine scaling in the calling code.
 
+This module owns all reference-cell data: :func:`reference_tables` builds
+the basis values, gradients and side traces at the Gauss points once per
+(k, nq) and caches them read-only, and both local operators (the
+vertices-edges-element interpolant and the L2 projection) are precomputed
+matrices acting on samples.
+
 Conventions
 -----------
 * A degree-k tensor-product space Q_k has (k+1)^2 local degrees of freedom.
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import block_diag
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,81 @@ def reference_basis(k):
     return ReferenceBasis(k)
 
 
-class VeeInterpolator:
+#: reference sides of the cell (xi = -1, xi = 1, eta = -1, eta = 1),
+#: indexing the side tables of :class:`ReferenceTables`
+LEFT, RIGHT, BOTTOM, TOP = range(4)
+
+
+class ReferenceTables:
+    """Basis tables at the ``nq``-point Gauss rule of the reference cell.
+
+    ``t``, ``w1`` are the 1D Gauss points and weights, ``points`` (nq^2, 2)
+    and ``w2`` their x-major tensor product.  ``vals``, ``gx``, ``gy`` hold
+    the basis values and reference gradients at ``points``, shape
+    ((k+1)^2, nq^2).  Indexed by side code, ``side_points`` holds the Gauss
+    points on each side, ``tr`` the basis traces there and ``dn`` the
+    reference derivative transverse to the side (d/dxi on left/right,
+    d/deta on bottom/top).  One cached instance per (k, nq) serves
+    assembly, the norms and both local operators, so every array is
+    read-only.
+    """
+
+    def __init__(self, k, nq):
+        basis = reference_basis(k)
+        rule = gauss_legendre(nq)
+        t, ones = rule.nodes, np.ones(nq)
+        self.t, self.w1 = t, rule.weights
+        self.points, self.w2 = rule.points_2d(), rule.weights_2d()
+        self.vals = basis.eval_2d(self.points)
+        self.gx, self.gy = basis.grad_2d(self.points)
+        self.side_points = tuple(
+            np.column_stack(p)
+            for p in ((-ones, t), (ones, t), (t, -ones), (t, ones)))
+        self.tr = tuple(basis.eval_2d(p) for p in self.side_points)
+        self.dn = tuple(basis.grad_2d(p)[side // 2]
+                        for side, p in enumerate(self.side_points))
+        for value in vars(self).values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def reference_tables(k, nq):
+    """Cached :class:`ReferenceTables` of degree ``k`` on the ``nq``-point
+    Gauss rule."""
+    return ReferenceTables(k, nq)
+
+
+class _LocalOperator:
+    """Linear map from samples of w at :attr:`points` to nodal Q_k
+    coefficients, stored as one ((k+1)^2, npts) matrix."""
+
+    def __init__(self, points, matrix):
+        self.points, self.matrix = points, matrix
+        points.flags.writeable = matrix.flags.writeable = False
+
+    def apply_to_values(self, values):
+        """Coefficients from samples of w at :attr:`points`.
+
+        Parameters
+        ----------
+        values : ndarray, shape (..., npts)
+            Samples w(points) for one or many functions.
+
+        Returns
+        -------
+        ndarray, shape (..., (k+1)^2)
+            Coefficients in the nodal reference basis.
+        """
+        return np.asarray(values, dtype=float) @ self.matrix.T
+
+    def apply(self, w):
+        """Apply the operator to a callable ``w(xi, eta)`` on the
+        reference cell."""
+        return self.apply_to_values(w(self.points[:, 0], self.points[:, 1]))
+
+
+class VeeInterpolator(_LocalOperator):
     """Vertices-edges-element interpolation operator on the reference cell.
 
     For w smooth enough, the interpolant p in Q_k is fixed by the
@@ -184,86 +264,22 @@ class VeeInterpolator:
 
     #: corner order: bottom-left, bottom-right, top-right, top-left
     VERTICES = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
-    #: side order used for the edge-moment blocks
-    SIDES = ("bottom", "right", "top", "left")
 
     def __init__(self, k, nq=None):
-        if k < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got k={k}")
         self.k = k
         self.nq = nq = (k + 2) if nq is None else int(nq)
-        rule = gauss_legendre(nq)
-        t, w = rule.nodes, rule.weights
-        ndof = (k + 1) ** 2
-
-        # evaluation points: 4 corners, nq per side, nq^2 interior
-        pts = [np.asarray(self.VERTICES, dtype=float)]
-        ones = np.ones_like(t)
-        side_pts = {
-            "bottom": np.column_stack([t, -ones]),
-            "right": np.column_stack([ones, t]),
-            "top": np.column_stack([t, ones]),
-            "left": np.column_stack([-ones, t]),
-        }
-        pts.extend(side_pts[s] for s in self.SIDES)
-        pts.append(gauss_legendre(nq).points_2d())
-        self.points = np.vstack(pts)
-        npts = self.points.shape[0]
-
-        # cond[i, p]: weight of point p in condition functional i
-        cond = np.zeros((ndof, npts))
-        row = 0
-        for v in range(4):
-            cond[row, v] = 1.0
-            row += 1
-        if k >= 2:
-            # Legendre values at the 1D nodes, degrees 0..k-2
-            leg = np.stack(
-                [npleg.legval(t, [0.0] * d + [1.0]) for d in range(k - 1)]
-            )
-            for s in range(4):
-                base = 4 + s * nq
-                for d in range(k - 1):
-                    cond[row, base : base + nq] = w * leg[d]
-                    row += 1
-            w2 = rule.weights_2d()
-            base = 4 + 4 * nq
-            for a in range(k - 1):
-                for b in range(k - 1):
-                    lx = np.repeat(leg[a], nq)
-                    ly = np.tile(leg[b], nq)
-                    cond[row, base:] = w2 * lx * ly
-                    row += 1
-        assert row == ndof
-        self.cond = cond
-
-        basis = reference_basis(k)
-        bvals = basis.eval_2d(self.points)  # (ndof, npts)
-        self._lu = lu_factor(cond @ bvals.T)
-
-    def apply_to_values(self, values):
-        """Interpolate from samples of w at :attr:`points`.
-
-        Parameters
-        ----------
-        values : ndarray, shape (..., npts)
-            Samples w(points) for one or many functions.
-
-        Returns
-        -------
-        ndarray, shape (..., (k+1)^2)
-            Coefficients in the nodal reference basis.
-        """
-        rhs = np.asarray(values, dtype=float) @ self.cond.T
-        if rhs.ndim > 1:
-            flat = rhs.reshape(-1, rhs.shape[-1])
-            return lu_solve(self._lu, flat.T).T.reshape(rhs.shape)
-        return lu_solve(self._lu, rhs)
-
-    def apply(self, w):
-        """Interpolate a callable ``w(xi, eta)`` on the reference cell."""
-        vals = np.asarray(w(self.points[:, 0], self.points[:, 1]), dtype=float)
-        return self.apply_to_values(vals)
+        tab = reference_tables(k, nq)       # rejects k < 1
+        corners = np.array(self.VERTICES)
+        # samples: 4 corners, nq per side in side-code order, nq^2 inside
+        points = np.vstack([corners, *tab.side_points, tab.points])
+        bvals = np.hstack([reference_basis(k).eval_2d(corners), *tab.tr,
+                           tab.vals])
+        # Gauss-weighted Legendre polynomials of degree 0..k-2 (none for k=1)
+        moments = tab.w1 * npleg.legvander(tab.t, k)[:, :k - 1].T
+        # cond[i, p]: weight of sample p in condition functional i
+        cond = block_diag(np.eye(4), *[moments] * 4,
+                          np.kron(moments, moments))
+        super().__init__(points, np.linalg.solve(cond @ bvals.T, cond))
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +289,7 @@ def vee_operator(k, nq):
     return VeeInterpolator(k, nq)
 
 
-class L2Projector:
+class L2Projector(_LocalOperator):
     """Local L2 projection onto Q_k on the reference cell.
 
     The projection p of w satisfies: integral of (w - p) v vanishes for
@@ -284,25 +300,10 @@ class L2Projector:
     def __init__(self, k, nq=None):
         self.k = k
         self.nq = nq = (k + 2) if nq is None else int(nq)
-        rule = gauss_legendre(nq)
-        self.points = rule.points_2d()
-        basis = reference_basis(k)
-        bvals = basis.eval_2d(self.points)
-        self._weighted = bvals * rule.weights_2d()  # (ndof, npts)
-        self._lu = lu_factor(self._weighted @ bvals.T)
-
-    def apply_to_values(self, values):
-        """Project from samples of w at :attr:`points` (shape (..., npts))."""
-        rhs = np.asarray(values, dtype=float) @ self._weighted.T
-        if rhs.ndim > 1:
-            flat = rhs.reshape(-1, rhs.shape[-1])
-            return lu_solve(self._lu, flat.T).T.reshape(rhs.shape)
-        return lu_solve(self._lu, rhs)
-
-    def apply(self, w):
-        """Project a callable ``w(xi, eta)`` on the reference cell."""
-        vals = np.asarray(w(self.points[:, 0], self.points[:, 1]), dtype=float)
-        return self.apply_to_values(vals)
+        tab = reference_tables(k, nq)
+        weighted = tab.vals * tab.w2             # (ndof, npts)
+        super().__init__(tab.points,
+                         np.linalg.solve(weighted @ tab.vals.T, weighted))
 
 
 @lru_cache(maxsize=None)

@@ -57,7 +57,9 @@ class EdgeType(IntEnum):
 
 
 def penalty_weight(edge_type, n):
-    """Penalty parameter rho for an edge family on an N x N mesh."""
+    """Penalty parameter rho for an edge family (an :class:`EdgeType` or
+    its integer code) on an N x N mesh."""
+    edge_type = EdgeType(edge_type)
     if edge_type is EdgeType.M1:
         return 1.0
     if edge_type is EdgeType.M2:
@@ -120,13 +122,9 @@ class ShishkinMesh:
     def n_elements(self):
         return self.config.n ** 2
 
-    def element_index(self, i, j):
-        """Flat index of element in column i, row j (bottom-to-top,
-        left-to-right numbering)."""
-        return i * self.config.n + j
-
     def element_ij(self, idx):
-        """Inverse of :meth:`element_index`."""
+        """Column i and row j of the element with flat index
+        idx = i*N + j (bottom-to-top, left-to-right numbering)."""
         return divmod(idx, self.config.n)
 
     def cell_bounds(self, i, j):
@@ -188,7 +186,8 @@ def _build_unchecked(config):
     if eps > 1.0 / n:
         warnings.warn(
             f"eps={eps} exceeds 1/N={1.0 / n}; the two-band mesh targets the "
-            "layer-dominated regime eps <= 1/N", UserWarning, stacklevel=2)
+            "layer-dominated regime eps <= 1/N", UserWarning,
+            stacklevel=3)                 # the caller of build_mesh
 
     lam_x = min(0.5, sigma * eps * math.log(n) / beta1)
     lam_y = min(0.5, sigma * eps * math.log(n) / beta2)

@@ -9,6 +9,7 @@ from nipg2d.felib import (
     gauss_legendre,
     l2_projector,
     reference_basis,
+    reference_tables,
     vee_operator,
 )
 
@@ -111,6 +112,22 @@ class TestReferenceBasis:
                 - eval_basis(k, pts[:, 0], pts[:, 1] - h)) / (2 * h)
         assert np.max(np.abs(gx - fd_x)) <= 1e-7
         assert np.max(np.abs(gy - fd_y)) <= 1e-7
+
+
+class TestReferenceTables:
+    def test_cached_tables_are_shared_and_read_only(self):
+        tab = reference_tables(2, 4)
+        assert reference_tables(2, 4) is tab
+        arrays = []
+        for value in vars(tab).values():
+            if isinstance(value, tuple):
+                arrays.extend(value)
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+        assert len(arrays) == 19       # 7 arrays and 3 tuples of 4 sides
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 def _random_qk(rng, k):

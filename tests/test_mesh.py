@@ -65,9 +65,10 @@ class TestBuildMesh:
             build_mesh(MeshConfig(**kwargs))
 
     def test_warns_outside_perturbed_regime(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             build_mesh(MeshConfig(n=8, eps=0.2, sigma=2.5,
                                   beta1=2.0, beta2=3.0))
+        assert record[0].filename == __file__
 
     def test_random_configurations_partition_unit_interval(self):
         rng = np.random.default_rng(2024)
@@ -140,6 +141,8 @@ class TestEdgeClassification:
             assert rho == expected[EdgeType(family)]
         for t, rho in expected.items():
             assert penalty_weight(t, n) == rho
+            assert penalty_weight(int(t), n) == rho
+            assert penalty_weight(np.int64(t), n) == rho
 
     def test_transition_line_edge_is_m4(self):
         grid = make_mesh(8, 1e-3, 2.5)
