@@ -300,12 +300,14 @@ class _TripletBuffer:
         return coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
-def _check_coefficients(problem, x, y, beta1, beta2):
-    """Spot-check the standing coefficient assumptions at sample points."""
+def _check_coefficients(problem, x, y, b1, b2, c, beta1, beta2):
+    """Spot-check the standing coefficient assumptions at sample points.
+
+    ``b1``, ``b2`` and ``c`` are the coefficients already sampled at
+    ``(x, y)``; only ``div_b`` is sampled here.
+    """
     slack = 1e-9
-    b1 = _sample(problem.b1, x, y)
-    b2 = _sample(problem.b2, x, y)
-    c0sq = _sample(problem.c, x, y) - 0.5 * _sample(problem.div_b, x, y)
+    c0sq = c - 0.5 * _sample(problem.div_b, x, y)
     if b1.min() < beta1 - slack or b2.min() < beta2 - slack:
         raise CoefficientConditionError(
             f"convection field drops below its declared lower bounds: "
@@ -357,7 +359,10 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
 
     # ---- element volumes -------------------------------------------------
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    _check_coefficients(problem, x_q, y_q,
+    b1_q = _sample(problem.b1, x_q, y_q)
+    b2_q = _sample(problem.b2, x_q, y_q)
+    c_q = _sample(problem.c, x_q, y_q)
+    _check_coefficients(problem, x_q, y_q, b1_q, b2_q, c_q,
                         mesh.config.beta1, mesh.config.beta2)
 
     kxx = np.einsum("q,mq,nq->mn", tab.w2, tab.gx, tab.gx)
@@ -365,9 +370,6 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     vol = eps * ((hy / hx)[:, None, None] * kxx
                  + (hx / hy)[:, None, None] * kyy)
 
-    b1_q = _sample(problem.b1, x_q, y_q)
-    b2_q = _sample(problem.b2, x_q, y_q)
-    c_q = _sample(problem.c, x_q, y_q)
     vol += np.einsum("eq,mq,nq->emn",
                      tab.w2 * b1_q * (0.5 * hy)[:, None], tab.vals, tab.gx)
     vol += np.einsum("eq,mq,nq->emn",

@@ -96,8 +96,11 @@ class ReferenceBasis:
 
     The one-dimensional Lagrange basis sits on k+1 Gauss-Lobatto nodes
     (so traces on a cell side are determined by the nodes on that side).
-    Polynomials are represented through an inverted Vandermonde matrix,
-    which is well conditioned for the small degrees used here.
+    Values are evaluated in product form, prod_{j != i} (x - x_j) /
+    (x_i - x_j), which is exactly 0 or 1 at the nodes, so a basis function
+    vanishes exactly on the sides that do not carry its node.  Derivatives
+    go through an inverted Vandermonde matrix, which is well conditioned
+    for the small degrees used here.
 
     Parameters
     ----------
@@ -112,19 +115,28 @@ class ReferenceBasis:
         self.ndof_1d = k + 1
         self.ndof = (k + 1) ** 2
         self.nodes_1d = lobatto_nodes(k + 1)
+        # denominators prod_{j != i} (x_i - x_j), formed by the same products
+        # as the numerators so that L_i(x_i) is exactly 1
+        self._denom_1d = np.diag(self._node_products(self.nodes_1d)).copy()
         # coeff_1d[q, i]: coefficient of x^q in the i-th Lagrange polynomial
-        vander = np.vander(self.nodes_1d, increasing=True)
-        self.coeff_1d = np.linalg.inv(vander)
+        coeff_1d = np.linalg.inv(np.vander(self.nodes_1d, increasing=True))
         # derivative coefficients: d/dx sum_q c_q x^q = sum_q (q+1) c_{q+1} x^q
-        self.dcoeff_1d = self.coeff_1d[1:, :] * np.arange(1, k + 1)[:, None]
+        self.dcoeff_1d = coeff_1d[1:, :] * np.arange(1, k + 1)[:, None]
 
     # -- one-dimensional pieces -------------------------------------------
+
+    def _node_products(self, x):
+        """prod_{j != i} (x - x_j) for every node i, shape (len(x), k+1)."""
+        diff = x[:, None] - self.nodes_1d
+        return np.stack([np.prod(np.delete(diff, i, axis=1), axis=1)
+                         for i in range(self.ndof_1d)], axis=1)
 
     def eval_1d(self, x):
         """Values of the k+1 Lagrange polynomials, shape (k+1, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        powers = np.vander(x, self.ndof_1d, increasing=True)
-        return (powers @ self.coeff_1d).T
+        # point-major storage, as deriv_1d returns it: the assembly
+        # contractions over quadrature points run faster on this layout
+        return (self._node_products(x) / self._denom_1d).T
 
     def deriv_1d(self, x):
         """Derivatives of the k+1 Lagrange polynomials, shape (k+1, len(x))."""

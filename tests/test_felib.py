@@ -72,6 +72,12 @@ class TestReferenceBasis:
         vals = eval_basis(k, pts[:, 0], pts[:, 1])
         assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-13)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_values_at_the_nodes_are_exactly_kronecker(self, k):
+        basis = reference_basis(k)
+        np.testing.assert_array_equal(basis.eval_1d(basis.nodes_1d),
+                                      np.eye(k + 1))
+
     def test_gradient_of_bilinear_product(self):
         # coefficients representing w(xi, eta) = xi * eta on a nodal basis
         basis = reference_basis(1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
+from scipy.sparse import random as sparse_random
 
 from nipg2d import SolverConfig, SparseSystem, solve
 
@@ -13,6 +14,16 @@ def diagonal_system(n=50):
     d = np.arange(1.0, n + 1.0)
     rhs = np.sin(np.arange(n))
     return SparseSystem(diags(d).tocsr(), rhs, {}), rhs / d
+
+
+def permuted_identity_with_noise(n=400, density=0.005, scale=1e-6, seed=7):
+    """A permutation matrix plus tiny random fill: its diagonal is noise."""
+    rng = np.random.default_rng(seed)
+    perm = csr_matrix((np.ones(n), (np.arange(n), rng.permutation(n))),
+                      shape=(n, n))
+    noise = sparse_random(n, n, density=density, random_state=rng,
+                          format="csr")
+    return perm + scale * noise
 
 
 class TestDirect:
@@ -53,6 +64,27 @@ class TestDirect:
         system, _ = diagonal_system()
         _, report = solve(system)
         assert report.wall_time >= 0.0
+
+    @pytest.mark.parametrize("matrix", [
+        csr_matrix([[1e-14, 1.0], [1.0, 1.0]]),
+        csr_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]),
+        permuted_identity_with_noise(),
+    ], ids=["tiny-pivot", "zero-diagonal", "permuted-identity"])
+    def test_matrices_needing_off_diagonal_pivots(self, matrix):
+        # the LU prefers diagonal pivots; its threshold must still reject
+        # diagonals that are tiny next to the rest of their column
+        rhs = np.cos(np.arange(matrix.shape[0]))
+        x, report = solve(SparseSystem(matrix, rhs, {}))
+        residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+        assert residual <= 1e-14
+        assert report.residual <= 1e-14
+
+    def test_lu_fill_is_reported_for_direct_solves_only(self):
+        case = make_case(k=1, n=8, eps=1e-4)
+        _, direct = solve(case.system)
+        assert direct.lu_fill > 0
+        _, iterative = solve(case.system, SolverConfig(method="iterative"))
+        assert iterative.lu_fill is None
 
 
 class TestIterative:
