@@ -28,10 +28,10 @@ contiguous block E*(k+1)^2 + m, where m is the local nodal index of
 import numpy as np
 from dataclasses import dataclass, field
 
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import bsr_matrix, csr_matrix, diags
 
-from .felib import (BOTTOM, LEFT, RIGHT, TOP, reference_basis,
-                    reference_tables)
+from .felib import (BOTTOM, LEFT, RIGHT, TOP, face_products,
+                    reference_basis, reference_tables)
 from .mesh import NO_ELEMENT
 
 
@@ -276,30 +276,6 @@ def _faces(mesh, edges, problem, tab):
                          traces)
 
 
-class _TripletBuffer:
-    """Accumulates COO triplets in deterministic insertion order."""
-
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.data = []
-
-    def add_blocks(self, blocks, row_base, col_base, ndl):
-        """Append dense (ne, ndl, ndl) blocks at per-item dof offsets."""
-        local = np.arange(ndl)
-        rows = row_base[:, None, None] + local[None, :, None]
-        cols = col_base[:, None, None] + local[None, None, :]
-        self.rows.append(np.broadcast_to(rows, blocks.shape).ravel())
-        self.cols.append(np.broadcast_to(cols, blocks.shape).ravel())
-        self.data.append(blocks.ravel())
-
-    def to_csr(self, shape):
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
-        return coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
 def _check_coefficients(problem, x, y, b1, b2, c, beta1, beta2):
     """Spot-check the standing coefficient assumptions at sample points.
 
@@ -341,6 +317,8 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     Returns
     -------
     SparseSystem
+        The matrix is canonical CSR with int32 indices; weak mode stores
+        one dense (k+1)^2 block per element and face neighbour.
     """
     n = mesh.config.n
     k = dofmap.k
@@ -355,7 +333,10 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
 
     tab = reference_tables(k, nq)
     ndl = dofmap.ndof_local
-    buf = _TripletBuffer()
+    ne = n * n
+    # blocks[E, s] couples element E (test) to E + offsets[s] (trial)
+    offsets = np.array([-n, -1, 0, 1, n])
+    blocks = np.zeros((ne, offsets.size, ndl, ndl))
 
     # ---- element volumes -------------------------------------------------
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
@@ -367,8 +348,9 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
 
     kxx = np.einsum("q,mq,nq->mn", tab.w2, tab.gx, tab.gx)
     kyy = np.einsum("q,mq,nq->mn", tab.w2, tab.gy, tab.gy)
-    vol = eps * ((hy / hx)[:, None, None] * kxx
-                 + (hx / hy)[:, None, None] * kyy)
+    vol = blocks[:, 2]                   # offset 0: the element itself
+    vol[...] = eps * ((hy / hx)[:, None, None] * kxx
+                      + (hx / hy)[:, None, None] * kyy)
 
     vol += np.einsum("eq,mq,nq->emn",
                      tab.w2 * b1_q * (0.5 * hy)[:, None], tab.vals, tab.gx)
@@ -378,13 +360,9 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
                      tab.w2 * c_q * (0.25 * hx * hy)[:, None],
                      tab.vals, tab.vals)
 
-    elem_base = np.arange(n * n) * ndl
-    buf.add_blocks(vol, elem_base, elem_base, ndl)
-
     f_q = _sample(problem.f, x_q, y_q)
-    load = np.einsum("eq,mq->em",
-                     tab.w2 * f_q * (0.25 * hx * hy)[:, None], tab.vals)
-    rhs = load.ravel()
+    rhs = np.einsum("eq,mq->em",
+                    tab.w2 * f_q * (0.25 * hx * hy)[:, None], tab.vals).ravel()
 
     # ---- edge terms -------------------------------------------------------
     for face in _faces(mesh, edges, problem, tab):
@@ -394,18 +372,26 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
             # penalty, plus the upwind term on the element the face flows into
             w_r = face.w * (face.rho[:, None] + (face.b if r.inflow else 0.0))
             for c in face.traces:
-                block = -avg * eps * r.sign * np.einsum(
-                    "eq,mq,nq->emn", face.w * c.dnu[:, None],
-                    tab.tr[r.side], tab.dn[c.side])
-                block += avg * eps * c.sign * np.einsum(
-                    "eq,mq,nq->emn", face.w * r.dnu[:, None],
-                    tab.dn[r.side], tab.tr[c.side])
-                block += r.sign * c.sign * np.einsum(
-                    "eq,mq,nq->emn", w_r, tab.tr[r.side], tab.tr[c.side])
-                buf.add_blocks(block, r.elem * ndl, c.elem * ndl, ndl)
+                weights = np.hstack([
+                    -avg * eps * r.sign * face.w * c.dnu[:, None],
+                    avg * eps * c.sign * face.w * r.dnu[:, None],
+                    r.sign * c.sign * w_r])
+                block = weights @ face_products(k, nq, r.side, c.side)
+                # one offset per batch, and no element twice in a batch
+                slot = np.searchsorted(offsets, c.elem[0] - r.elem[0])
+                blocks[r.elem, slot] += block.reshape(-1, ndl, ndl)
 
-    total = dofmap.total_dofs
-    matrix = buf.to_csr((total, total))
+    # ---- blocks to CSR ----------------------------------------------------
+    # keep the slots of neighbours on the mesh; columns ascend within a row
+    i, j = np.divmod(np.arange(ne), n)
+    exists = np.column_stack([i > 0, j > 0, np.full(ne, True), j < n - 1,
+                              i < n - 1])
+    block_rows = bsr_matrix(
+        (blocks[exists], (np.arange(ne)[:, None] + offsets)[exists],
+         np.append(0, np.cumsum(exists.sum(1)))),
+        shape=(dofmap.total_dofs,) * 2)
+    del blocks, vol
+    matrix = block_rows.tocsr()
 
     metadata = {
         "n": n,
@@ -444,7 +430,8 @@ def _eliminate_boundary_dofs(system, mesh, dofmap):
     bdofs = boundary_dofs(mesh, dofmap)
     keep = np.ones(dofmap.total_dofs)
     keep[bdofs] = 0.0
-    d_keep = diags(keep, format="csr")
-    system.matrix = (d_keep @ system.matrix @ d_keep
-                     + diags(1.0 - keep, format="csr")).tocsr()
+    a = system.matrix
+    a.data *= np.repeat(keep, np.diff(a.indptr)) * keep[a.indices]
+    a.eliminate_zeros()
+    system.matrix = a + diags(1.0 - keep, format="csr")
     system.rhs[bdofs] = 0.0

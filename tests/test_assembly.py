@@ -6,6 +6,8 @@ enough to enumerate by hand, and the scheme is exercised on a globally
 polynomial solution that the discrete space contains exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -168,18 +170,25 @@ class TestInflowOutflowSplit:
 class TestMatrixOracle:
     """Entry-by-entry agreement with the dense loop-based reference."""
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_two_cell_mesh_matches_dense_reference(self, k):
+    # N=4 has interior elements, which couple to all four face neighbours
+    @pytest.mark.parametrize("k,n", [
+        pytest.param(1, 2, id="1"), pytest.param(2, 2, id="2"),
+        pytest.param(3, 2, id="3"), pytest.param(1, 4, id="1-N4"),
+        pytest.param(2, 4, id="2-N4")])
+    def test_two_cell_mesh_matches_dense_reference(self, k, n):
         import oracles
 
-        mesh = make_mesh(2, 0.05, 2.5)
-        edges = classify_edges(mesh)
-        dofmap = DofMap(k=k, n=2)
+        mesh = make_mesh(n, 0.05, 2.5)
+        dofmap = DofMap(k=k, n=n)
         problem = boundary_layer_problem(0.05)
-        system = assemble(mesh, edges, dofmap, problem, eps=0.05)
         dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem, eps=0.05)
-        np.testing.assert_allclose(system.matrix.toarray(), dense,
-                                   atol=1e-12, rtol=0.0)
+        for numbering in ("standard", "reversed"):
+            edges = classify_edges(mesh, numbering)
+            matrix = assemble(mesh, edges, dofmap, problem, eps=0.05).matrix
+            assert matrix.has_canonical_format
+            assert matrix.indices.dtype == np.int32
+            np.testing.assert_allclose(matrix.toarray(), dense,
+                                       atol=1e-12, rtol=0.0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_two_cell_mesh_strong_mode_matches_dense_reference(self, k):
@@ -356,6 +365,24 @@ class TestSparsityAndMetadata:
         assert md["boundary_edge_rule"] == "same-as-interior"
         assert md["dirichlet"] == "weak"
         assert md["quad_order"] == 3
+
+    @pytest.mark.parametrize("k,n", [(2, 16), (1, 32)])
+    def test_peak_memory_is_a_few_csr_copies(self, k, n):
+        # Blocks go to CSR via their block-CSR form; a COO round trip
+        # of the same matrix peaked near 10.6x.
+        mesh = make_mesh(n, 1e-4, k + 1.5)
+        edges = classify_edges(mesh)
+        dofmap = DofMap(k=k, n=n)
+        problem = boundary_layer_problem(1e-4)
+        assemble(mesh, edges, dofmap, problem, 1e-4)   # fill the table caches
+        tracemalloc.start()
+        try:
+            matrix = assemble(mesh, edges, dofmap, problem, 1e-4).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak <= 4 * csr, f"peak {peak} B is {peak / csr:.2f}x the CSR"
 
     def test_strong_mode_zeroes_boundary_coefficients(self):
         case = make_case(k=1, n=8, eps=1e-3, dirichlet="strong")

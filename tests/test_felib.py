@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from nipg2d.felib import (
+    LEFT,
+    RIGHT,
+    TOP,
     L2Projector,
     VeeInterpolator,
+    face_products,
     gauss_legendre,
     l2_projector,
     reference_basis,
@@ -134,6 +138,26 @@ class TestReferenceTables:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+    @pytest.mark.parametrize("row_side,col_side", [(LEFT, LEFT),
+                                                   (RIGHT, LEFT),
+                                                   (TOP, TOP)])
+    def test_face_products_give_the_three_face_terms(self, row_side,
+                                                     col_side):
+        k, nq = 2, 4
+        prod = face_products(k, nq, row_side, col_side)
+        assert face_products(k, nq, row_side, col_side) is prod
+        with pytest.raises(ValueError):
+            prod[...] = 0.0
+        tab = reference_tables(k, nq)
+        tr_r, dn_r = tab.tr[row_side], tab.dn[row_side]
+        tr_c, dn_c = tab.tr[col_side], tab.dn[col_side]
+        w = np.random.default_rng(7).standard_normal((5, 3, nq))
+        expected = (np.einsum("eq,mq,nq->emn", w[:, 0], tr_r, dn_c)
+                    + np.einsum("eq,mq,nq->emn", w[:, 1], dn_r, tr_c)
+                    + np.einsum("eq,mq,nq->emn", w[:, 2], tr_r, tr_c))
+        got = (w.reshape(5, -1) @ prod).reshape(expected.shape)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
 
 
 def _random_qk(rng, k):
