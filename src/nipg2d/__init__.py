@@ -17,18 +17,22 @@ Typical use::
     x, report = solve(system)
     record = supercloseness_error(DGFunction(grid, dofmap, x),
                                   edges, problem, eps)
+
+A :class:`DGFunction` is a coefficient vector on the mesh; the norms and
+interpolants of :mod:`nipg2d.analysis` work on those arrays, and the two
+reference-cell operators the interpolants apply are :func:`vee_operator`
+and :func:`l2_projector`, each a cached (points, matrix) pair.
 """
 
 from .analysis import (ErrorRecord, NormComponents, broken_l2_error,
                        convergence_rates, energy_norm, interpolate_composite,
                        interpolate_vee_global, supercloseness_error)
 from .assembly import (CoefficientConditionError, DGFunction, DofMap,
-                       ExactSolution, ProblemData, SparseSystem, assemble,
-                       boundary_dofs)
-from .felib import (L2Projector, QuadratureRule, ReferenceBasis,
-                    VeeInterpolator, gauss_legendre, lobatto_nodes)
-from .mesh import (EdgeSet, EdgeType, MeshConfig, RegionTag, ShishkinMesh,
-                   build_mesh, classify_edges, penalty_weight, region_of)
+                       ProblemData, SparseSystem, assemble, boundary_dofs)
+from .felib import (QuadratureRule, ReferenceBasis, gauss_legendre,
+                    l2_projector, lobatto_nodes, vee_operator)
+from .mesh import (EdgeSet, EdgeType, MeshConfig, ShishkinMesh, build_mesh,
+                   classify_edges, penalty_weight)
 from .problems import boundary_layer_problem, get_problem
 from .solver import SolveReport, SolverConfig, solve
 
@@ -36,13 +40,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientConditionError", "DGFunction", "DofMap", "EdgeSet",
-    "EdgeType", "ErrorRecord", "ExactSolution", "L2Projector", "MeshConfig",
-    "NormComponents", "ProblemData", "QuadratureRule", "ReferenceBasis",
-    "RegionTag", "ShishkinMesh", "SolveReport", "SolverConfig",
-    "SparseSystem", "VeeInterpolator", "assemble", "boundary_dofs",
-    "boundary_layer_problem", "broken_l2_error", "build_mesh",
-    "classify_edges", "convergence_rates", "energy_norm", "gauss_legendre",
-    "get_problem", "interpolate_composite", "interpolate_vee_global",
-    "lobatto_nodes", "penalty_weight", "region_of", "solve",
-    "supercloseness_error",
+    "EdgeType", "ErrorRecord", "MeshConfig", "NormComponents",
+    "ProblemData", "QuadratureRule", "ReferenceBasis", "ShishkinMesh",
+    "SolveReport", "SolverConfig", "SparseSystem", "assemble",
+    "boundary_dofs", "boundary_layer_problem", "broken_l2_error",
+    "build_mesh", "classify_edges", "convergence_rates", "energy_norm",
+    "gauss_legendre", "get_problem", "interpolate_composite",
+    "interpolate_vee_global", "l2_projector", "lobatto_nodes",
+    "penalty_weight", "solve", "supercloseness_error", "vee_operator",
 ]

@@ -46,9 +46,10 @@ def interpolate_vee_global(u, mesh, dofmap, nq=None):
     DGFunction
         Continuous across edges up to roundoff.
     """
-    op = vee_operator(dofmap.k, (dofmap.k + 2) if nq is None else int(nq))
-    _, _, x, y = _cells(mesh, *op.points.T)
-    coeffs = op.apply_to_values(u(x, y))
+    nq = (dofmap.k + 2) if nq is None else int(nq)
+    points, matrix = vee_operator(dofmap.k, nq)
+    _, _, x, y = _cells(mesh, *points.T)
+    coeffs = u(x, y) @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
@@ -60,13 +61,14 @@ def interpolate_composite(u, mesh, dofmap, nq=None):
     on every element outside the coarse-coarse region.
     """
     vee = interpolate_vee_global(u, mesh, dofmap, nq=nq)
-    proj = l2_projector(dofmap.k, (dofmap.k + 2) if nq is None else int(nq))
+    nq = (dofmap.k + 2) if nq is None else int(nq)
+    points, matrix = l2_projector(dofmap.k, nq)
     n = mesh.config.n
     coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
-    _, _, x, y = _cells(mesh, *proj.points.T)
+    _, _, x, y = _cells(mesh, *points.T)
     vals = u(x.reshape(n, n, -1)[coarse], y.reshape(n, n, -1)[coarse])
     coeffs = vee.coefficients.reshape(n, n, -1).copy()
-    coeffs[coarse] = proj.apply_to_values(vals)
+    coeffs[coarse] = vals @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
@@ -198,7 +200,7 @@ def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
     if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
     mesh, dofmap = u_h.mesh, u_h.dofmap
-    u = problem.exact.u
+    u = problem.exact
     vee = interpolate_vee_global(u, mesh, dofmap)
     comp = interpolate_composite(u, mesh, dofmap)
     diff_in = DGFunction(mesh, dofmap, vee.coefficients - u_h.coefficients)

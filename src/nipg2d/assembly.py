@@ -26,12 +26,11 @@ contiguous block E*(k+1)^2 + m, where m is the local nodal index of
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.sparse import bsr_matrix, csr_matrix, diags
 
-from .felib import (BOTTOM, LEFT, RIGHT, TOP, face_products,
-                    reference_basis, reference_tables)
+from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
 from .mesh import NO_ELEMENT
 
 
@@ -69,23 +68,6 @@ class DofMap:
     def total_dofs(self):
         return self.n ** 2 * self.ndof_local
 
-    def base(self, i, j):
-        """First global dof of element (i, j)."""
-        return (i * self.n + j) * self.ndof_local
-
-    def element_dofs(self, i, j):
-        """Global dof indices of element (i, j), shape ((k+1)^2,)."""
-        b = self.base(i, j)
-        return np.arange(b, b + self.ndof_local)
-
-
-@dataclass(frozen=True)
-class ExactSolution:
-    """Reference solution bundle: ``u(x, y)`` and optionally its gradient."""
-
-    u: object
-    grad: object | None = None
-
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -93,9 +75,10 @@ class ProblemData:
     the boundary of the unit square.
 
     All entries are callables of (x, y) accepting ndarray arguments;
-    ``div_b`` is the divergence of (b1, b2).  The scheme assumes
-    b1 >= beta1 > 0, b2 >= beta2 > 0 and c - div_b / 2 >= 0;
-    :func:`assemble` spot-checks these at the quadrature points.
+    ``div_b`` is the divergence of (b1, b2), and ``exact`` is the solution
+    u where it is known.  The scheme assumes b1 >= beta1 > 0,
+    b2 >= beta2 > 0 and c - div_b / 2 >= 0; :func:`assemble` spot-checks
+    these at the quadrature points.
     """
 
     b1: object
@@ -103,31 +86,22 @@ class ProblemData:
     div_b: object
     c: object
     f: object
-    exact: ExactSolution | None = None
+    exact: object | None = None
     name: str = ""
 
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system with configuration metadata.
-
-    ``metadata`` records the resolved discretization choices (N, k, eps,
-    sigma, quadrature order, Dirichlet mode, penalty schedule), so any
-    output derived from the system can echo its configuration.
-    """
+    """Assembled matrix and load vector."""
 
     matrix: csr_matrix
     rhs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
 class DGFunction:
-    """A broken-space function: per-element nodal coefficients.
-
-    Evaluation inside any element is well defined; values on mesh edges
-    are double valued.
-    """
+    """A broken-space function: per-element nodal coefficients in degree
+    of freedom order."""
 
     mesh: object
     dofmap: DofMap
@@ -139,41 +113,6 @@ class DGFunction:
             raise ValueError(
                 f"coefficient vector has shape {self.coefficients.shape}, "
                 f"expected ({self.dofmap.total_dofs},)")
-
-    def element_coefficients(self, i, j):
-        """Nodal coefficients of element (i, j), shape ((k+1)^2,)."""
-        b = self.dofmap.base(i, j)
-        return self.coefficients[b:b + self.dofmap.ndof_local]
-
-    def eval_in_element(self, i, j, xi, eta):
-        """Evaluate at reference coordinates (xi, eta) of element (i, j)."""
-        basis = reference_basis(self.dofmap.k)
-        scalar = np.isscalar(xi) and np.isscalar(eta)
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        vals = basis.eval_2d(np.column_stack([xi.ravel(), eta.ravel()]))
-        out = self.element_coefficients(i, j) @ vals
-        return out.item() if scalar else out.reshape(xi.shape)
-
-    def eval(self, x, y):
-        """Evaluate at physical points; points on an interior mesh line
-        take the trace of the element to the right/above."""
-        scalar = np.isscalar(x) and np.isscalar(y)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        mesh = self.mesh
-        n = mesh.config.n
-        i = np.clip(np.searchsorted(mesh.x_pts, x, side="right") - 1, 0, n - 1)
-        j = np.clip(np.searchsorted(mesh.y_pts, y, side="right") - 1, 0, n - 1)
-        xi = 2.0 * (x - mesh.x_pts[i]) / mesh.h_x[i] - 1.0
-        eta = 2.0 * (y - mesh.y_pts[j]) / mesh.h_y[j] - 1.0
-        basis = reference_basis(self.dofmap.k)
-        vals = basis.eval_2d(np.column_stack([xi.ravel(), eta.ravel()]))
-        ndl = self.dofmap.ndof_local
-        bases = (i.ravel() * n + j.ravel()) * ndl
-        local = self.coefficients[bases[:, None] + np.arange(ndl)[None, :]]
-        out = np.einsum("pm,mp->p", local, vals)
-        return out.item() if scalar else out.reshape(x.shape)
 
 
 def _sample(fn, x, y):
@@ -393,20 +332,7 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     del blocks, vol
     matrix = block_rows.tocsr()
 
-    metadata = {
-        "n": n,
-        "k": k,
-        "eps": eps,
-        "sigma": mesh.config.sigma,
-        "beta": (mesh.config.beta1, mesh.config.beta2),
-        "lambda": (mesh.lambda_x, mesh.lambda_y),
-        "quad_order": nq,
-        "dirichlet": dirichlet,
-        "boundary_edge_rule": "same-as-interior",
-        "penalty_schedule": "M1:1 M2:N^2 M3:N M4:N",
-        "problem": problem.name,
-    }
-    system = SparseSystem(matrix, rhs, metadata)
+    system = SparseSystem(matrix, rhs)
     if dirichlet == "strong":
         _eliminate_boundary_dofs(system, mesh, dofmap)
     return system

@@ -22,9 +22,10 @@ eps::
     max_iters = 5000
     restart = 50
     estimate_condition = false   append 1-norm condition estimates
-                                 (costly; for the large-N/small-eps cells
-                                 where the rate tables visibly degrade)
-    quad_order = 4      assembly quadrature (default k + 2)
+                                 (direct solver only; costly; for the
+                                 large-N/small-eps cells where the rate
+                                 tables visibly degrade)
+    quad_order = 4      assembly quadrature (default k + 2, at least k + 1)
     dirichlet = weak    or: strong
     out_csv = study.csv
     out_md = study.md
@@ -90,6 +91,10 @@ class StudyConfig:
         for k in self.k_list:
             if k < 1:
                 raise ValueError(f"polynomial degree must be >= 1, got {k}")
+            if self.quad_order is not None and self.quad_order < k + 1:
+                raise ValueError(
+                    f"quad_order={self.quad_order} is below k + 1 = {k + 1} "
+                    f"for k={k}")
             if self.sigma is not None and self.sigma < k + 0.5:
                 raise ValueError(
                     f"sigma={self.sigma} is below k + 1/2 = {k + 0.5} for "
@@ -156,7 +161,7 @@ def run_study(config):
     rows = []
     for k in config.k_list:
         sigma = config.sigma_for(k)
-        quad = config.quad_order or (k + 2)
+        quad = (k + 2) if config.quad_order is None else config.quad_order
         for eps in config.eps_list:
             chain = []
             for n in config.n_list_for(k):

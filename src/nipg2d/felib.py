@@ -230,36 +230,8 @@ def face_products(k, nq, row_side, col_side):
     return out
 
 
-class _LocalOperator:
-    """Linear map from samples of w at :attr:`points` to nodal Q_k
-    coefficients, stored as one ((k+1)^2, npts) matrix."""
-
-    def __init__(self, points, matrix):
-        self.points, self.matrix = points, matrix
-        points.flags.writeable = matrix.flags.writeable = False
-
-    def apply_to_values(self, values):
-        """Coefficients from samples of w at :attr:`points`.
-
-        Parameters
-        ----------
-        values : ndarray, shape (..., npts)
-            Samples w(points) for one or many functions.
-
-        Returns
-        -------
-        ndarray, shape (..., (k+1)^2)
-            Coefficients in the nodal reference basis.
-        """
-        return np.asarray(values, dtype=float) @ self.matrix.T
-
-    def apply(self, w):
-        """Apply the operator to a callable ``w(xi, eta)`` on the
-        reference cell."""
-        return self.apply_to_values(w(self.points[:, 0], self.points[:, 1]))
-
-
-class VeeInterpolator(_LocalOperator):
+@lru_cache(maxsize=None)
+def vee_operator(k, nq):
     """Vertices-edges-element interpolation operator on the reference cell.
 
     For w smooth enough, the interpolant p in Q_k is fixed by the
@@ -279,60 +251,44 @@ class VeeInterpolator(_LocalOperator):
     Moments are evaluated with an ``nq``-point Gauss rule per direction
     (exact for the polynomial side of every condition when nq >= k).
 
-    Parameters
-    ----------
-    k : int
-        Polynomial degree, k >= 1.
-    nq : int, optional
-        Moment-quadrature points per direction; defaults to k + 2.
+    Returns
+    -------
+    (points, matrix) : read-only ndarrays, cached per (k, nq)
+        The sample points (npts, 2) -- the four corners (bottom-left,
+        bottom-right, top-right, top-left), ``nq`` per side in side-code
+        order, then the ``nq``^2 cell points -- and the ((k+1)^2, npts)
+        matrix taking samples w(points) to the nodal coefficients of p.
     """
-
-    #: corner order: bottom-left, bottom-right, top-right, top-left
-    VERTICES = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
-
-    def __init__(self, k, nq=None):
-        self.k = k
-        self.nq = nq = (k + 2) if nq is None else int(nq)
-        tab = reference_tables(k, nq)       # rejects k < 1
-        corners = np.array(self.VERTICES)
-        # samples: 4 corners, nq per side in side-code order, nq^2 inside
-        points = np.vstack([corners, *tab.side_points, tab.points])
-        bvals = np.hstack([reference_basis(k).eval_2d(corners), *tab.tr,
-                           tab.vals])
-        # Gauss-weighted Legendre polynomials of degree 0..k-2 (none for k=1)
-        moments = tab.w1 * npleg.legvander(tab.t, k)[:, :k - 1].T
-        # cond[i, p]: weight of sample p in condition functional i
-        cond = block_diag(np.eye(4), *[moments] * 4,
-                          np.kron(moments, moments))
-        super().__init__(points, np.linalg.solve(cond @ bvals.T, cond))
+    tab = reference_tables(k, nq)       # rejects k < 1
+    corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    points = np.vstack([corners, *tab.side_points, tab.points])
+    bvals = np.hstack([reference_basis(k).eval_2d(corners), *tab.tr,
+                       tab.vals])
+    # Gauss-weighted Legendre polynomials of degree 0..k-2 (none for k=1)
+    moments = tab.w1 * npleg.legvander(tab.t, k)[:, :k - 1].T
+    # cond[i, p]: weight of sample p in condition functional i
+    cond = block_diag(np.eye(4), *[moments] * 4, np.kron(moments, moments))
+    matrix = np.linalg.solve(cond @ bvals.T, cond)
+    points.flags.writeable = matrix.flags.writeable = False
+    return points, matrix
 
 
 @lru_cache(maxsize=None)
-def vee_operator(k, nq):
-    """Cached :class:`VeeInterpolator` for degree ``k`` with ``nq``-point
-    moment quadrature."""
-    return VeeInterpolator(k, nq)
-
-
-class L2Projector(_LocalOperator):
+def l2_projector(k, nq):
     """Local L2 projection onto Q_k on the reference cell.
 
     The projection p of w satisfies: integral of (w - p) v vanishes for
     every v in Q_k.  Right-hand sides are evaluated with an ``nq``-point
     Gauss rule per direction.
+
+    Returns
+    -------
+    (points, matrix) : read-only ndarrays, cached per (k, nq)
+        The Gauss points (nq^2, 2) and the ((k+1)^2, nq^2) matrix taking
+        samples w(points) to the nodal coefficients of p.
     """
-
-    def __init__(self, k, nq=None):
-        self.k = k
-        self.nq = nq = (k + 2) if nq is None else int(nq)
-        tab = reference_tables(k, nq)
-        weighted = tab.vals * tab.w2             # (ndof, npts)
-        super().__init__(tab.points,
-                         np.linalg.solve(weighted @ tab.vals.T, weighted))
-
-
-@lru_cache(maxsize=None)
-def l2_projector(k, nq):
-    """Cached :class:`L2Projector` for degree ``k`` with ``nq``-point
-    quadrature."""
-    return L2Projector(k, nq)
+    tab = reference_tables(k, nq)
+    weighted = tab.vals * tab.w2             # (ndof, npts)
+    matrix = np.linalg.solve(weighted @ tab.vals.T, weighted)
+    matrix.flags.writeable = False
+    return tab.points, matrix

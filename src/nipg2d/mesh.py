@@ -32,18 +32,9 @@ family, penalty), computed by broadcasting over the tensor grid.
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
-
-
-class RegionTag(Enum):
-    """Quadrant of the tensor mesh an element belongs to."""
-
-    OMEGA11 = "coarse-coarse"
-    OMEGA12 = "x-fine"
-    OMEGA21 = "y-fine"
-    OMEGA22 = "corner"
 
 
 class EdgeType(IntEnum):
@@ -122,16 +113,6 @@ class ShishkinMesh:
     def n_elements(self):
         return self.config.n ** 2
 
-    def element_ij(self, idx):
-        """Column i and row j of the element with flat index
-        idx = i*N + j (bottom-to-top, left-to-right numbering)."""
-        return divmod(idx, self.config.n)
-
-    def cell_bounds(self, i, j):
-        """Physical bounds (x0, x1, y0, y1) of element (i, j)."""
-        return (self.x_pts[i], self.x_pts[i + 1],
-                self.y_pts[j], self.y_pts[j + 1])
-
 
 def _band_points(lam, n):
     """One-dimensional two-band grid: N/2 equal cells on [0, 1-lam] and
@@ -200,18 +181,6 @@ def _build_unchecked(config):
     h_x.flags.writeable = False
     h_y.flags.writeable = False
     return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts, h_x, h_y)
-
-
-def region_of(mesh, i, j):
-    """Region tag of element (i, j): the coarse-coarse quadrant, one of the
-    two layer strips, or the corner patch."""
-    n = mesh.config.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"element ({i}, {j}) outside a {n} x {n} mesh")
-    half = n // 2
-    if i < half:
-        return RegionTag.OMEGA11 if j < half else RegionTag.OMEGA21
-    return RegionTag.OMEGA12 if j < half else RegionTag.OMEGA22
 
 
 #: ``EdgeSet.minus`` entry of a boundary edge, which has no minus side

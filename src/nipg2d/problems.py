@@ -16,7 +16,7 @@ is exactly the regime the two-band meshes of :mod:`nipg2d.mesh` resolve
 
 import numpy as np
 
-from .assembly import ExactSolution, ProblemData
+from .assembly import ProblemData
 
 #: componentwise convection lower bounds of the built-in problem
 BETA1 = 2.0
@@ -60,15 +60,6 @@ def boundary_layer_problem(eps):
         wy, _, _ = yfactor(np.asarray(y, dtype=float))
         return gx * wy
 
-    def grad(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gx, t1, e1 = xfactor(x)
-        wy, t2, e2 = yfactor(y)
-        dg = np.cos(x) * (1.0 - e1) - np.sin(x) * (2.0 / eps) * e1
-        dw = 2.0 * np.cos(2.0 * y) * (1.0 - e2) - np.sin(2.0 * y) * (3.0 / eps) * e2
-        return dg * wy, gx * dw
-
     def f(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -88,7 +79,7 @@ def boundary_layer_problem(eps):
         div_b=lambda x, y: np.full(np.shape(x), -2.0),
         c=lambda x, y: np.ones(np.shape(x)),
         f=f,
-        exact=ExactSolution(u=u, grad=grad),
+        exact=u,
         name="boundary_layer",
     )
 

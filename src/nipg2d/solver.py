@@ -49,7 +49,8 @@ class SolverConfig:
         GMRES restart length.
     estimate_condition : bool
         Estimate the 1-norm condition number of the equilibrated matrix
-        (direct path only; costs a few extra solves).
+        (direct path only, so it is rejected with "iterative"; costs a
+        few extra solves).
     """
 
     method: str = "direct"
@@ -65,6 +66,10 @@ class SolverConfig:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_iters < 1 or self.restart < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.estimate_condition and self.method != "direct":
+            raise ValueError(
+                "estimate_condition needs the direct solver; the iterative "
+                "path computes no condition estimate")
 
 
 @dataclass

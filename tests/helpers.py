@@ -37,6 +37,14 @@ def make_mesh(n, eps, sigma, beta1=2.0, beta2=3.0):
         return mesh_mod._build_unchecked(cfg)
 
 
+def coarse_elements(mesh):
+    """(N, N) mask of the elements inside the coarse region
+    [0, 1-lambda_x] x [0, 1-lambda_y], found from the mesh lines."""
+    in_x = mesh.x_pts[1:] <= 1.0 - mesh.lambda_x
+    in_y = mesh.y_pts[1:] <= 1.0 - mesh.lambda_y
+    return in_x[:, None] & in_y[None, :]
+
+
 @functools.lru_cache(maxsize=None)
 def make_case(k, n, eps, sigma=None, dirichlet="weak"):
     """Mesh + edges + dofmap + assembled system for the built-in problem."""

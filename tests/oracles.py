@@ -4,8 +4,9 @@ Everything here is written directly from the weak form and the norm
 definition with plain Python loops and generous quadrature, so the
 vectorized library code can be checked entry by entry.  Only the
 reference-cell basis evaluation is shared with the library; that layer
-is verified separately against finite differences and monomials.  The
-edge-trace helpers at the end evaluate a library DGFunction pointwise.
+is verified separately against finite differences and monomials.
+:func:`dg_eval` and the edge-trace helpers at the end evaluate a library
+DGFunction pointwise.
 """
 
 import numpy as np
@@ -103,7 +104,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
     # volume terms, element by element, quadrature point by point
     for i in range(n):
         for j in range(n):
-            base = dofmap.base(i, j)
+            base = (i * n + j) * ndl
             for p in range(nq):
                 for q in range(nq):
                     xi, eta = t[p], t[q]
@@ -172,7 +173,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
             for (ei, ej), side in zip(elems, sides):
                 vals, gx, gy = side_trace(ei, ej, side, np.array([t[p]]))
                 gn = gx[:, 0] * nu[0] + gy[:, 0] * nu[1]
-                traces.append((dofmap.base(ei, ej), vals[:, 0], gn))
+                traces.append(((ei * n + ej) * ndl, vals[:, 0], gn))
             half = 1.0 if boundary else 0.5
             for (br, vr, gr), sr in zip(traces, signs):
                 for (bc, vc, gc), sc in zip(traces, signs):
@@ -186,7 +187,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
     # upwind convection terms: each element's inflow sides
     for i in range(n):
         for j in range(n):
-            base = dofmap.base(i, j)
+            base = (i * n + j) * ndl
             for side in ("left", "bottom", "right", "top"):
                 if orientation_normal(side)[0]:
                     jac1d = 0.5 * mesh.h_y[j]
@@ -229,7 +230,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
                         else:
                             ni, nj, nside = i, j + 1, "bottom"
                         nvals, _, _ = side_trace(ni, nj, nside, s1d)
-                        nbase = dofmap.base(ni, nj)
+                        nbase = (ni * n + nj) * ndl
                         for r in range(ndl):
                             for s in range(ndl):
                                 a[base + r, base + s] -= (
@@ -254,7 +255,7 @@ def dense_load_vector(mesh, dofmap, problem, nq=10):
     rhs = np.zeros(dofmap.total_dofs)
     for i in range(n):
         for j in range(n):
-            base = dofmap.base(i, j)
+            base = (i * n + j) * ndl
             for p in range(nq):
                 for q in range(nq):
                     x, y = _map_x(mesh, i, t[p]), _map_y(mesh, j, t[q])
@@ -278,10 +279,11 @@ def energy_components_bruteforce(v, problem, eps, nq=10):
     k = dofmap.k
     rule = gauss_legendre(nq)
     t, w = rule.nodes, rule.weights
+    coeffs = v.coefficients.reshape(n * n, -1)
 
     def value(i, j, xi, eta):
         vals, gx, gy = _phys_basis(mesh, k, i, j, xi, eta)
-        coeff = v.element_coefficients(i, j)
+        coeff = coeffs[i * n + j]
         return coeff @ vals[:, 0], coeff @ gx[:, 0], coeff @ gy[:, 0]
 
     grad = reaction = 0.0
@@ -378,6 +380,30 @@ def edge_segment(mesh, edges, idx):
     return mesh.y_pts[line], (mesh.x_pts[cell], mesh.x_pts[cell + 1])
 
 
+def dg_eval(v, x, y, elem=None):
+    """Values of a DGFunction at physical points (x, y).
+
+    Each point is evaluated in element ``elem`` (flat index i*N + j) when
+    given, extending its polynomial to the closed cell; otherwise in the
+    cell containing it, where a point on an interior mesh line takes the
+    cell to the right/above.
+    """
+    mesh, n = v.mesh, v.mesh.config.n
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    if elem is None:
+        i = np.clip(np.searchsorted(mesh.x_pts, x, side="right") - 1, 0, n - 1)
+        j = np.clip(np.searchsorted(mesh.y_pts, y, side="right") - 1, 0, n - 1)
+    else:
+        i, j = np.divmod(np.broadcast_to(elem, x.shape), n)
+    i, j = i.ravel(), j.ravel()
+    xi = 2.0 * (x.ravel() - mesh.x_pts[i]) / mesh.h_x[i] - 1.0
+    eta = 2.0 * (y.ravel() - mesh.y_pts[j]) / mesh.h_y[j] - 1.0
+    vals, _, _ = _phys_basis(mesh, v.dofmap.k, i, j, xi, eta)
+    local = v.coefficients.reshape(n * n, -1)[i * n + j]
+    return np.einsum("pm,mp->p", local, vals).reshape(x.shape)
+
+
 def trace_pair(v, edges, idx, s):
     """Two-sided traces of a DGFunction along edge ``idx`` of an edge set.
 
@@ -387,22 +413,14 @@ def trace_pair(v, edges, idx, s):
     boundary edge.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    mesh = v.mesh
-    line = edges.line[idx]
-
-    def side_vals(elem):
-        i, j = mesh.element_ij(elem)
-        if edges.orientation[idx] == "v":
-            xi = 1.0 if i + 1 == line else -1.0
-            eta = 2.0 * (s - mesh.y_pts[j]) / mesh.h_y[j] - 1.0
-            return v.eval_in_element(i, j, np.full_like(s, xi), eta)
-        eta = 1.0 if j + 1 == line else -1.0
-        xi = 2.0 * (s - mesh.x_pts[i]) / mesh.h_x[i] - 1.0
-        return v.eval_in_element(i, j, xi, np.full_like(s, eta))
-
-    plus = side_vals(edges.plus[idx])
-    minus = None if edges.minus[idx] == NO_ELEMENT else side_vals(
-        edges.minus[idx])
+    fixed, _ = edge_segment(v.mesh, edges, idx)
+    if edges.orientation[idx] == "v":
+        x, y = np.full_like(s, fixed), s
+    else:
+        x, y = s, np.full_like(s, fixed)
+    plus = dg_eval(v, x, y, edges.plus[idx])
+    minus = None if edges.minus[idx] == NO_ELEMENT else dg_eval(
+        v, x, y, edges.minus[idx])
     return plus, minus
 
 
@@ -415,7 +433,8 @@ def inflow_outflow_split(mesh, problem, i, j, nq=4):
     if b . n changes sign within one side.
     """
     rule = gauss_legendre(nq)
-    x0, x1, y0, y1 = mesh.cell_bounds(i, j)
+    x0, x1 = mesh.x_pts[i:i + 2]
+    y0, y1 = mesh.y_pts[j:j + 2]
     xs = x0 + (rule.nodes + 1.0) * 0.5 * (x1 - x0)
     ys = y0 + (rule.nodes + 1.0) * 0.5 * (y1 - y0)
     sides = {

@@ -28,11 +28,12 @@ from nipg2d.analysis import (
 )
 from nipg2d.assembly import assemble
 from nipg2d.felib import gauss_legendre
-from nipg2d.mesh import NO_ELEMENT, RegionTag, region_of
+from nipg2d.mesh import NO_ELEMENT
 
 import oracles
 from helpers import (
     as_dg,
+    coarse_elements,
     error_chain,
     make_case,
     random_dg_coefficients,
@@ -181,12 +182,13 @@ class TestAcceptance:
             xs, ys = rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)
             for op in (interpolate_vee_global, interpolate_composite):
                 v = op(p, case.mesh, case.dofmap)
-                repro = max(repro, np.abs(v.eval(xs, ys) - p(xs, ys)).max())
+                repro = max(repro, np.abs(oracles.dg_eval(v, xs, ys)
+                                          - p(xs, ys)).max())
         gaps["reproduction"] = (repro, 1e-12)
 
         # (b) continuity of the nodal interpolant of the exact solution
         case = make_case(k=1, n=8, eps=1e-3)
-        v = interpolate_vee_global(case.problem.exact.u, case.mesh,
+        v = interpolate_vee_global(case.problem.exact, case.mesh,
                                    case.dofmap)
         jump = 0.0
         for idx in np.flatnonzero(case.edges.minus != NO_ELEMENT):
@@ -199,19 +201,19 @@ class TestAcceptance:
         # (c) projection moments vanish on the coarse-coarse region
         k = 2
         case2 = make_case(k=k, n=8, eps=1e-3)
-        u = case2.problem.exact.u
+        u = case2.problem.exact
         comp = interpolate_composite(u, case2.mesh, case2.dofmap)
         rule = gauss_legendre(k + 2)
         xi = np.repeat(rule.nodes, k + 2)
         eta = np.tile(rule.nodes, k + 2)
         w2 = np.repeat(rule.weights, k + 2) * np.tile(rule.weights, k + 2)
         moment = 0.0
+        coarse = coarse_elements(case2.mesh)
         for i, j in [(0, 0), (1, 2), (3, 3)]:
-            assert region_of(case2.mesh, i, j) is RegionTag.OMEGA11
-            x0, x1, y0, y1 = case2.mesh.cell_bounds(i, j)
-            xq = x0 + 0.5 * (xi + 1.0) * (x1 - x0)
-            yq = y0 + 0.5 * (eta + 1.0) * (y1 - y0)
-            diff = u(xq, yq) - comp.eval_in_element(i, j, xi, eta)
+            assert coarse[i, j]
+            xq = case2.mesh.x_pts[i] + 0.5 * (xi + 1.0) * case2.mesh.h_x[i]
+            yq = case2.mesh.y_pts[j] + 0.5 * (eta + 1.0) * case2.mesh.h_y[j]
+            diff = u(xq, yq) - oracles.dg_eval(comp, xq, yq, i * 8 + j)
             for a in range(k + 1):
                 for b in range(k + 1):
                     moment = max(moment,

@@ -16,7 +16,6 @@ from nipg2d import (
     CoefficientConditionError,
     DGFunction,
     DofMap,
-    ExactSolution,
     ProblemData,
     assemble,
     boundary_layer_problem,
@@ -25,9 +24,10 @@ from nipg2d import (
 )
 import nipg2d
 from nipg2d.analysis import interpolate_vee_global
+from nipg2d.felib import reference_basis
 
 from helpers import make_case, make_mesh, random_dg_coefficients
-from oracles import edge_segment, inflow_outflow_split, trace_pair
+from oracles import dg_eval, edge_segment, inflow_outflow_split, trace_pair
 
 RNG = np.random.default_rng(20240915)
 
@@ -53,15 +53,19 @@ class TestDofMap:
         assert dm.total_dofs == 16 * 9
 
     def test_element_blocks_are_contiguous_and_disjoint(self):
-        dm = DofMap(k=1, n=4)
-        seen = []
-        for i in range(4):
-            for j in range(4):
-                dofs = dm.element_dofs(i, j)
-                assert dofs[0] == dm.base(i, j)
-                assert list(dofs) == list(range(dofs[0], dofs[0] + 4))
-                seen.extend(dofs.tolist())
-        assert sorted(seen) == list(range(dm.total_dofs))
+        # element (i, j) owns dofs (i*N + j)*(k+1)^2 + a*(k+1) + b, the
+        # node (a, b) of its Lobatto grid: the interpolant of x + 10 y
+        # carries exactly those nodal values, block by block
+        k, n = 2, 4
+        case = make_case(k=k, n=n, eps=1e-2)
+        v = interpolate_vee_global(lambda x, y: x + 10.0 * y, case.mesh,
+                                   case.dofmap)
+        nodes = (reference_basis(k).nodes_1d + 1.0) * 0.5
+        x = case.mesh.x_pts[:-1, None] + nodes * case.mesh.h_x[:, None]
+        y = case.mesh.y_pts[:-1, None] + nodes * case.mesh.h_y[:, None]
+        expected = x[:, None, :, None] + 10.0 * y[None, :, None, :]
+        np.testing.assert_allclose(
+            v.coefficients.reshape(n, n, k + 1, k + 1), expected, atol=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -96,7 +100,7 @@ class TestTracePair:
         # v = 1 on element (1, 1), 0 elsewhere (the basis sums to one).
         case = self.case
         coeffs = np.zeros(case.dofmap.total_dofs)
-        coeffs[case.dofmap.element_dofs(1, 1)] = 1.0
+        coeffs.reshape(8, 8, -1)[1, 1] = 1.0
         v = DGFunction(case.mesh, case.dofmap, coeffs)
         mid_y = 0.5 * (case.mesh.y_pts[1] + case.mesh.y_pts[2])
         mid_x = 0.5 * (case.mesh.x_pts[1] + case.mesh.x_pts[2])
@@ -127,8 +131,10 @@ class TestTracePair:
         x_e, (lo, hi) = edge_segment(case.mesh, case.edges, idx)
         s = np.array([0.5 * (lo + hi)])
         plus, minus = trace_pair(v, case.edges, idx, s)
-        assert plus[0] == pytest.approx(v.eval(x_e + delta, s[0]), abs=1e-5)
-        assert minus[0] == pytest.approx(v.eval(x_e - delta, s[0]), abs=1e-5)
+        assert plus[0] == pytest.approx(dg_eval(v, x_e + delta, s)[0],
+                                        abs=1e-5)
+        assert minus[0] == pytest.approx(dg_eval(v, x_e - delta, s)[0],
+                                         abs=1e-5)
 
     def test_boundary_edge_has_no_minus_trace(self):
         case = self.case
@@ -272,7 +278,7 @@ class TestPolynomialConsistency:
             div_b=lambda x, y: -2.0 * np.ones_like(x),
             c=lambda x, y: np.ones_like(x),
             f=f,
-            exact=ExactSolution(u=u),
+            exact=u,
         )
 
     @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
@@ -284,7 +290,7 @@ class TestPolynomialConsistency:
         system = assemble(mesh, edges, dofmap, problem, eps=0.01,
                           dirichlet=dirichlet)
         sol = splu(system.matrix.tocsc()).solve(system.rhs)
-        expected = interpolate_vee_global(problem.exact.u, mesh, dofmap)
+        expected = interpolate_vee_global(problem.exact, mesh, dofmap)
         np.testing.assert_allclose(sol, expected.coefficients, atol=1e-10)
 
 
@@ -345,26 +351,17 @@ class TestSparsityAndMetadata:
         case = make_case(k=2, n=8, eps=1e-3)
         lil = case.system.matrix.tolil()
         ndl = case.dofmap.ndof_local
+        dofs = np.arange(case.dofmap.total_dofs).reshape(8, 8, ndl)
         for i in range(8):
             for j in range(8):
-                allowed = set(case.dofmap.element_dofs(i, j).tolist())
+                allowed = set(dofs[i, j].tolist())
                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
                     if 0 <= i + di < 8 and 0 <= j + dj < 8:
-                        allowed.update(
-                            case.dofmap.element_dofs(i + di, j + dj).tolist())
-                for row in case.dofmap.element_dofs(i, j):
+                        allowed.update(dofs[i + di, j + dj].tolist())
+                for row in dofs[i, j]:
                     cols = lil.rows[row]
                     assert len(cols) <= 5 * ndl
                     assert set(cols) <= allowed
-
-    def test_metadata_records_discretization(self):
-        case = make_case(k=1, n=8, eps=1e-4)
-        md = case.system.metadata
-        assert md["n"] == 8 and md["k"] == 1 and md["eps"] == 1e-4
-        assert md["penalty_schedule"] == "M1:1 M2:N^2 M3:N M4:N"
-        assert md["boundary_edge_rule"] == "same-as-interior"
-        assert md["dirichlet"] == "weak"
-        assert md["quad_order"] == 3
 
     @pytest.mark.parametrize("k,n", [(2, 16), (1, 32)])
     def test_peak_memory_is_a_few_csr_copies(self, k, n):

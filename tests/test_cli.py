@@ -78,7 +78,7 @@ class TestBuildConfig:
         cfg = build_config(
             {"k": "1,2", "eps": "1e-2, 1e-3", "n": "8,16", "sigma": "3.5",
              "solver": "iterative", "rel_tol": "1e-8",
-             "estimate_condition": "yes", "dirichlet": "strong"},
+             "dirichlet": "strong"},
             no_args())
         assert cfg.k_list == (1, 2)
         assert cfg.eps_list == (1e-2, 1e-3)
@@ -86,8 +86,11 @@ class TestBuildConfig:
         assert cfg.sigma == 3.5
         assert cfg.solver.method == "iterative"
         assert cfg.solver.rel_tol == 1e-8
-        assert cfg.solver.estimate_condition is True
         assert cfg.dirichlet == "strong"
+        # condition estimates come from the direct solver only
+        cfg = build_config({"k": "1", "eps": "1e-2",
+                            "estimate_condition": "yes"}, no_args())
+        assert cfg.solver.estimate_condition is True
 
     def test_command_line_overrides_file(self):
         cfg = build_config({"k": "1", "eps": "1e-2", "n": "8"},
@@ -241,6 +244,14 @@ class TestMain:
         code = main(["study", "--k", "1"])  # eps missing
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_quadrature_below_k_plus_one_exits_one(self, tmp_path, capsys):
+        out_csv = tmp_path / "t.csv"
+        code = main(["study", "--k", "1", "--eps", "1e-2", "--n", "8",
+                     "--quad-order", "0", "--out-csv", str(out_csv)])
+        assert code == 1
+        assert "quad_order" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         code = main(["study", "--config", str(tmp_path / "nope.cfg")])

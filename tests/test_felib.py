@@ -7,8 +7,6 @@ from nipg2d.felib import (
     LEFT,
     RIGHT,
     TOP,
-    L2Projector,
-    VeeInterpolator,
     face_products,
     gauss_legendre,
     l2_projector,
@@ -21,6 +19,13 @@ from nipg2d.felib import (
 def eval_basis(k, xi, eta):
     """All Q_k basis functions at the points (xi, eta), ((k+1)^2, npts)."""
     return reference_basis(k).eval_2d(np.column_stack([xi, eta]))
+
+
+def apply(operator, w):
+    """Coefficients of a (points, matrix) operator applied to a callable
+    ``w(xi, eta)`` on the reference cell."""
+    points, matrix = operator
+    return w(points[:, 0], points[:, 1]) @ matrix.T
 
 
 class TestGaussLegendre:
@@ -139,6 +144,15 @@ class TestReferenceTables:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
+    @pytest.mark.parametrize("operator", [vee_operator, l2_projector])
+    def test_local_operators_are_cached_and_read_only(self, operator):
+        points, matrix = operator(2, 4)
+        assert operator(2, 4)[1] is matrix
+        assert matrix.shape == (9, points.shape[0])
+        for arr in (points, matrix):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
     @pytest.mark.parametrize("row_side,col_side", [(LEFT, LEFT),
                                                    (RIGHT, LEFT),
                                                    (TOP, TOP)])
@@ -183,14 +197,14 @@ class TestVeeInterpolation:
     def test_k1_reduces_to_vertex_interpolation(self):
         rng = np.random.default_rng(3)
         w = _random_qk(rng, 1)
-        coeffs = vee_operator(1, 3).apply(w)
+        coeffs = apply(vee_operator(1, 3), w)
         assert _pointwise_max_error(1, coeffs, w) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_reproduces_qk(self, k):
         rng = np.random.default_rng(17 + k)
         w = _random_qk(rng, k)
-        coeffs = vee_operator(k, k + 2).apply(w)
+        coeffs = apply(vee_operator(k, k + 2), w)
         assert _pointwise_max_error(k, coeffs, w) <= 1e-12
 
     def test_condition_families_for_cubic_input(self):
@@ -202,7 +216,7 @@ class TestVeeInterpolation:
         def w(xi, eta):
             return np.asarray(xi, dtype=float) ** 3 + 0.0 * np.asarray(eta)
 
-        coeffs = vee_operator(k, k + 2).apply(w)
+        coeffs = apply(vee_operator(k, k + 2), w)
         rule = gauss_legendre(2 * (k + 2))
         t, wt = rule.nodes, rule.weights
 
@@ -226,11 +240,11 @@ class TestVeeInterpolation:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_linearity(self, k):
         rng = np.random.default_rng(29)
-        op = VeeInterpolator(k)
-        w1 = rng.standard_normal(op.points.shape[0])
-        w2 = rng.standard_normal(op.points.shape[0])
-        combo = op.apply_to_values(2.5 * w1 - 0.75 * w2)
-        parts = 2.5 * op.apply_to_values(w1) - 0.75 * op.apply_to_values(w2)
+        points, matrix = vee_operator(k, k + 2)
+        w1 = rng.standard_normal(points.shape[0])
+        w2 = rng.standard_normal(points.shape[0])
+        combo = (2.5 * w1 - 0.75 * w2) @ matrix.T
+        parts = 2.5 * (w1 @ matrix.T) - 0.75 * (w2 @ matrix.T)
         assert np.max(np.abs(combo - parts)) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -245,7 +259,7 @@ class TestVeeInterpolation:
             def w(xi, eta):
                 return np.sin(a * xi + b) * np.cos(c * eta + d)
 
-            coeffs = vee_operator(k, k + 2).apply(w)
+            coeffs = apply(vee_operator(k, k + 2), w)
             vals = eval_basis(k, xs.ravel(), ys.ravel())
             sup_in = np.max(np.abs(w(xs.ravel(), ys.ravel())))
             sup_out = np.max(np.abs(coeffs @ vals))
@@ -258,11 +272,11 @@ class TestLocalL2Projection:
     def test_reproduces_qk(self, k):
         rng = np.random.default_rng(41 + k)
         w = _random_qk(rng, k)
-        coeffs = l2_projector(k, k + 2).apply(w)
+        coeffs = apply(l2_projector(k, k + 2), w)
         assert _pointwise_max_error(k, coeffs, w) <= 1e-12
 
     def test_projects_constant(self):
-        coeffs = l2_projector(2, 4).apply(lambda xi, eta: np.full_like(
+        coeffs = apply(l2_projector(2, 4), lambda xi, eta: np.full_like(
             np.asarray(xi, dtype=float), 3.25))
         vals = eval_basis(2, np.array([0.37]), np.array([-0.61]))
         assert coeffs @ vals == pytest.approx(3.25, abs=1e-13)
@@ -271,7 +285,7 @@ class TestLocalL2Projection:
         def w(xi, eta):
             return np.asarray(xi, dtype=float) ** 2 + 0.0 * np.asarray(eta)
 
-        coeffs = l2_projector(1, 4).apply(w)
+        coeffs = apply(l2_projector(1, 4), w)
         # the best bilinear approximation of xi^2 is the constant 1/3
         assert np.allclose(coeffs, 1.0 / 3.0, atol=1e-13)
         rule = gauss_legendre(4)
@@ -288,11 +302,11 @@ class TestLocalL2Projection:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_linearity(self, k):
         rng = np.random.default_rng(43)
-        op = L2Projector(k, k + 2)
-        w1 = rng.standard_normal(op.points.shape[0])
-        w2 = rng.standard_normal(op.points.shape[0])
-        combo = op.apply_to_values(-1.5 * w1 + 0.3 * w2)
-        parts = -1.5 * op.apply_to_values(w1) + 0.3 * op.apply_to_values(w2)
+        points, matrix = l2_projector(k, k + 2)
+        w1 = rng.standard_normal(points.shape[0])
+        w2 = rng.standard_normal(points.shape[0])
+        combo = (-1.5 * w1 + 0.3 * w2) @ matrix.T
+        parts = -1.5 * (w1 @ matrix.T) + 0.3 * (w2 @ matrix.T)
         assert np.max(np.abs(combo - parts)) <= 1e-12
 
 

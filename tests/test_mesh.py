@@ -1,4 +1,4 @@
-"""Two-band mesh construction, region tagging and edge classification."""
+"""Two-band mesh construction and edge classification."""
 
 import dataclasses
 import math
@@ -10,11 +10,9 @@ from nipg2d.mesh import (
     NO_ELEMENT,
     EdgeType,
     MeshConfig,
-    RegionTag,
     build_mesh,
     classify_edges,
     penalty_weight,
-    region_of,
 )
 
 import oracles
@@ -85,37 +83,6 @@ class TestBuildMesh:
                 assert pts[n // 2] == pytest.approx(1.0 - lam, abs=1e-14)
                 assert np.allclose(h[: n // 2], h[0], atol=1e-14)
                 assert np.allclose(h[n // 2:], h[-1], atol=1e-14)
-
-
-class TestRegionTags:
-    def test_corner_elements(self):
-        grid = make_mesh(8, 1e-3, 2.5)
-        assert region_of(grid, 0, 0) is RegionTag.OMEGA11
-        assert region_of(grid, 7, 7) is RegionTag.OMEGA22
-
-    def test_strip_element(self):
-        grid = make_mesh(8, 1e-3, 2.5)
-        assert region_of(grid, 6, 1) is RegionTag.OMEGA12
-
-    def test_quadrant_rule_everywhere(self):
-        grid = make_mesh(8, 1e-3, 2.5)
-        for i in range(8):
-            for j in range(8):
-                tag = region_of(grid, i, j)
-                expected = {
-                    (True, True): RegionTag.OMEGA11,
-                    (False, True): RegionTag.OMEGA12,
-                    (True, False): RegionTag.OMEGA21,
-                    (False, False): RegionTag.OMEGA22,
-                }[(i < 4, j < 4)]
-                assert tag is expected
-
-    def test_rejects_out_of_range(self):
-        grid = make_mesh(8, 1e-3, 2.5)
-        with pytest.raises(IndexError):
-            region_of(grid, 8, 0)
-        with pytest.raises(IndexError):
-            region_of(grid, 0, -1)
 
 
 def find_edges(edges, orientation, line, cell):

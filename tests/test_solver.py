@@ -13,7 +13,7 @@ from helpers import make_case
 def diagonal_system(n=50):
     d = np.arange(1.0, n + 1.0)
     rhs = np.sin(np.arange(n))
-    return SparseSystem(diags(d).tocsr(), rhs, {}), rhs / d
+    return SparseSystem(diags(d).tocsr(), rhs), rhs / d
 
 
 def permuted_identity_with_noise(n=400, density=0.005, scale=1e-6, seed=7):
@@ -74,7 +74,7 @@ class TestDirect:
         # the LU prefers diagonal pivots; its threshold must still reject
         # diagonals that are tiny next to the rest of their column
         rhs = np.cos(np.arange(matrix.shape[0]))
-        x, report = solve(SparseSystem(matrix, rhs, {}))
+        x, report = solve(SparseSystem(matrix, rhs))
         residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
         assert residual <= 1e-14
         assert report.residual <= 1e-14
@@ -127,6 +127,7 @@ class TestValidation:
         {"rel_tol": -1e-10},
         {"max_iters": 0},
         {"restart": 0},
+        {"method": "iterative", "estimate_condition": True},
     ])
     def test_bad_numeric_options_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -135,15 +136,15 @@ class TestValidation:
     def test_non_square_matrix_is_rejected(self):
         matrix = csr_matrix(np.ones((3, 4)))
         with pytest.raises(ValueError, match="square"):
-            solve(SparseSystem(matrix, np.ones(3), {}))
+            solve(SparseSystem(matrix, np.ones(3)))
 
     def test_mismatched_rhs_is_rejected(self):
         matrix = csr_matrix(np.eye(3))
         with pytest.raises(ValueError, match="rhs"):
-            solve(SparseSystem(matrix, np.ones(4), {}))
+            solve(SparseSystem(matrix, np.ones(4)))
 
     def test_non_finite_entries_are_rejected(self):
         matrix = csr_matrix(np.eye(3))
         rhs = np.array([1.0, np.nan, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            solve(SparseSystem(matrix, rhs, {}))
+            solve(SparseSystem(matrix, rhs))
