@@ -33,7 +33,7 @@ from .felib import (QuadratureRule, ReferenceBasis, gauss_legendre,
                     l2_projector, lobatto_nodes, vee_operator)
 from .mesh import (EdgeSet, EdgeType, MeshConfig, ShishkinMesh, build_mesh,
                    classify_edges, penalty_weight)
-from .problems import boundary_layer_problem, get_problem
+from .problems import boundary_layer_problem
 from .solver import SolveReport, SolverConfig, solve
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "SolveReport", "SolverConfig", "SparseSystem", "assemble",
     "boundary_dofs", "boundary_layer_problem", "broken_l2_error",
     "build_mesh", "classify_edges", "convergence_rates", "energy_norm",
-    "gauss_legendre", "get_problem", "interpolate_composite",
-    "interpolate_vee_global", "l2_projector", "lobatto_nodes",
-    "penalty_weight", "solve", "supercloseness_error", "vee_operator",
+    "gauss_legendre", "interpolate_composite", "interpolate_vee_global",
+    "l2_projector", "lobatto_nodes", "penalty_weight", "solve",
+    "supercloseness_error", "vee_operator",
 ]

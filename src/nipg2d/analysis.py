@@ -35,7 +35,7 @@ def interpolate_vee_global(u, mesh, dofmap, nq=None):
     Parameters
     ----------
     u : callable
-        ``u(x, y)`` accepting ndarray arguments.
+        ``u(x, y)`` accepting ndarray arguments; constants broadcast.
     mesh : ShishkinMesh
     dofmap : DofMap
     nq : int, optional
@@ -49,7 +49,7 @@ def interpolate_vee_global(u, mesh, dofmap, nq=None):
     nq = (dofmap.k + 2) if nq is None else int(nq)
     points, matrix = vee_operator(dofmap.k, nq)
     _, _, x, y = _cells(mesh, *points.T)
-    coeffs = u(x, y) @ matrix.T
+    coeffs = _sample(u, x, y) @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
@@ -66,7 +66,8 @@ def interpolate_composite(u, mesh, dofmap, nq=None):
     n = mesh.config.n
     coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
     _, _, x, y = _cells(mesh, *points.T)
-    vals = u(x.reshape(n, n, -1)[coarse], y.reshape(n, n, -1)[coarse])
+    vals = _sample(u, x.reshape(n, n, -1)[coarse],
+                   y.reshape(n, n, -1)[coarse])
     coeffs = vee.coefficients.reshape(n, n, -1).copy()
     coeffs[coarse] = vals @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
@@ -155,7 +156,7 @@ def broken_l2_error(u, v, quad_order=None):
     tab = reference_tables(dofmap.k, nq)
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
-    diff = np.asarray(u(x_q, y_q), dtype=float) - coeffs @ tab.vals
+    diff = _sample(u, x_q, y_q) - coeffs @ tab.vals
     area = (0.25 * hx * hy)[:, None] * tab.w2[None, :]
     return float(np.sqrt(np.sum(area * diff ** 2)))
 

@@ -87,7 +87,6 @@ class ProblemData:
     c: object
     f: object
     exact: object | None = None
-    name: str = ""
 
 
 @dataclass
@@ -116,7 +115,7 @@ class DGFunction:
 
 
 def _sample(fn, x, y):
-    """Evaluate a coefficient callable, broadcasting constants."""
+    """Evaluate a callable of (x, y), broadcasting constants."""
     out = np.asarray(fn(x, y), dtype=float)
     if out.shape != np.shape(x):
         out = np.broadcast_to(out, np.shape(x)).copy()

@@ -7,8 +7,8 @@ table.  Exit code 0 means every solve met its tolerance; 2 flags degraded
 rows (the sweep still completes).
 
 Config files are flat ``key = value`` lines ('#' starts a comment); list
-values are comma separated.  Recognized keys, all optional except k and
-eps::
+values are comma separated.  The recognized keys follow; all are optional
+except k and eps, and any other key is an error::
 
     k = 1, 2            polynomial degrees
     eps = 1e-5, 1e-6    diffusion parameters
@@ -16,7 +16,6 @@ eps::
     sigma = 2.5         transition constant (default k + 3/2 per degree)
     beta1 = 2.0         convection lower bounds used by the mesh
     beta2 = 3.0
-    problem = boundary_layer
     solver = direct     or: iterative
     rel_tol = 1e-10
     max_iters = 5000
@@ -63,7 +62,6 @@ class StudyConfig:
     sigma: float | None = None         # None: k + 3/2 per degree
     beta1: float = problems.BETA1
     beta2: float = problems.BETA2
-    problem: str = "boundary_layer"
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
     quad_order: int | None = None      # None: k + 2 per degree
     dirichlet: str = "weak"
@@ -101,6 +99,8 @@ class StudyConfig:
                     f"k={k}; the fine bands would be too narrow for the "
                     "interpolant to track the layers")
             ns = self.n_list_for(k)
+            if not ns:
+                raise ValueError("config must list at least one mesh size n")
             for a, b in zip(ns, ns[1:]):
                 if b != 2 * a:
                     raise ValueError(
@@ -108,9 +108,6 @@ class StudyConfig:
         for e in self.eps_list:
             if e <= 0:
                 raise ValueError(f"eps must be positive, got {e}")
-        if self.problem not in problems.PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}; available: "
-                             f"{sorted(problems.PROBLEMS)}")
         if self.dirichlet not in ("weak", "strong"):
             raise ValueError(f"unknown Dirichlet mode: {self.dirichlet!r}")
 
@@ -161,19 +158,18 @@ def run_study(config):
     rows = []
     for k in config.k_list:
         sigma = config.sigma_for(k)
-        quad = (k + 2) if config.quad_order is None else config.quad_order
         for eps in config.eps_list:
             chain = []
             for n in config.n_list_for(k):
                 t0 = time.perf_counter()
-                problem = problems.get_problem(config.problem, eps)
+                problem = problems.boundary_layer_problem(eps)
                 mcfg = mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
                                        beta1=config.beta1, beta2=config.beta2)
                 grid = mesh.build_mesh(mcfg)
                 edges = mesh.classify_edges(grid)
                 dofmap = assembly.DofMap(k=k, n=n)
                 system = assembly.assemble(grid, edges, dofmap, problem, eps,
-                                           quad_order=quad,
+                                           quad_order=config.quad_order,
                                            dirichlet=config.dirichlet)
                 x, report = solver.solve(system, config.solver)
                 u_h = assembly.DGFunction(grid, dofmap, x)
@@ -194,7 +190,7 @@ def run_study(config):
             rows.extend(chain)
 
     echo = {
-        "problem": config.problem,
+        "problem": "boundary_layer",
         "k": _fmt_list(config.k_list),
         "eps": _fmt_list(config.eps_list),
         "sigma": ("k + 3/2" if config.sigma is None
@@ -210,6 +206,8 @@ def run_study(config):
         "dirichlet": config.dirichlet,
         "solver": config.solver.method,
         "rel_tol": _fmt_value(config.solver.rel_tol),
+        "max_iters": str(config.solver.max_iters),
+        "restart": str(config.solver.restart),
         "estimate_condition": str(config.solver.estimate_condition).lower(),
         "error_quad_order": "k + 3",
     }
@@ -349,45 +347,51 @@ def _floats(text):
     return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
 
 
+#: config key -> (field it sets, parser of its text); "solver." fields
+#: belong to the SolverConfig, the others to the StudyConfig, and keys
+#: left unset keep those dataclasses' defaults
+CONFIG_KEYS = {
+    "k": ("k_list", _ints),
+    "eps": ("eps_list", _floats),
+    "n": ("n_list", _ints),
+    "sigma": ("sigma", float),
+    "beta1": ("beta1", float),
+    "beta2": ("beta2", float),
+    "solver": ("solver.method", str),
+    "rel_tol": ("solver.rel_tol", float),
+    "max_iters": ("solver.max_iters", int),
+    "restart": ("solver.restart", int),
+    "estimate_condition": ("solver.estimate_condition", _bool),
+    "quad_order": ("quad_order", int),
+    "dirichlet": ("dirichlet", str),
+    "out_csv": ("out_csv", str),
+    "out_md": ("out_md", str),
+}
+
+
 def build_config(file_values, args):
-    """Merge config-file values and command-line overrides."""
+    """Merge config-file values with the command-line overrides that are
+    set, and parse each key through :data:`CONFIG_KEYS`."""
     raw = dict(file_values)
-
-    def take(key, override):
-        if override is not None:
-            raw[key] = override
-        return raw.get(key)
-
-    k_val = take("k", args.k)
-    eps_val = take("eps", args.eps)
-    n_val = take("n", args.n)
-    if k_val is None:
-        raise ValueError("no polynomial degrees given (key 'k' or --k)")
-    if eps_val is None:
-        raise ValueError("no diffusion parameters given (key 'eps' or --eps)")
-
-    solver_cfg = solver.SolverConfig(
-        method=take("solver", args.solver) or "direct",
-        rel_tol=float(raw.get("rel_tol", 1e-10)),
-        max_iters=int(raw.get("max_iters", 5000)),
-        restart=int(raw.get("restart", 50)),
-        estimate_condition=_bool(raw.get("estimate_condition", "false")),
-    )
-    quad = take("quad_order", args.quad_order)
-    return StudyConfig(
-        k_list=_ints(k_val),
-        eps_list=_floats(eps_val),
-        n_list=None if n_val is None else _ints(n_val),
-        sigma=None if raw.get("sigma") is None else float(raw["sigma"]),
-        beta1=float(raw.get("beta1", problems.BETA1)),
-        beta2=float(raw.get("beta2", problems.BETA2)),
-        problem=raw.get("problem", "boundary_layer"),
-        solver=solver_cfg,
-        quad_order=None if quad is None else int(quad),
-        dirichlet=raw.get("dirichlet", "weak"),
-        out_csv=take("out_csv", args.out_csv),
-        out_md=take("out_md", args.out_md),
-    )
+    raw.update((key, val) for key, val in vars(args).items()
+               if key in CONFIG_KEYS and val is not None)
+    unknown = [key for key in raw if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"known keys: {', '.join(CONFIG_KEYS)}")
+    for key in ("k", "eps"):
+        if key not in raw:
+            raise ValueError(f"missing key {key!r} (config file or --{key})")
+    study_kw, solver_kw = {}, {}
+    for key, text in raw.items():
+        name, parse = CONFIG_KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        owner, _, attr = name.rpartition(".")
+        (solver_kw if owner else study_kw)[attr] = value
+    return StudyConfig(solver=solver.SolverConfig(**solver_kw), **study_kw)
 
 
 def main(argv=None):

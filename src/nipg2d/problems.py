@@ -1,6 +1,6 @@
-"""Built-in model problems.
+"""The built-in model problem.
 
-The default problem is a convection-diffusion equation on the unit square,
+It is a convection-diffusion equation on the unit square,
 
     -eps Lap(u) + (3 - x, 4 - y) . grad(u) + u = f,    u = 0 on the boundary,
 
@@ -80,19 +80,4 @@ def boundary_layer_problem(eps):
         c=lambda x, y: np.ones(np.shape(x)),
         f=f,
         exact=u,
-        name="boundary_layer",
     )
-
-
-PROBLEMS = {"boundary_layer": boundary_layer_problem}
-
-
-def get_problem(name, eps):
-    """Look up a built-in problem by name."""
-    try:
-        factory = PROBLEMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; available: {sorted(PROBLEMS)}"
-        ) from None
-    return factory(eps)

@@ -48,6 +48,13 @@ class TestVeeInterpolant:
                                    case.mesh, case.dofmap)
         assert np.all(v.coefficients == 0.0)
 
+    def test_constant_callable_is_broadcast(self):
+        case = make_case(k=2, n=8, eps=1e-2)
+        for interpolate in (interpolate_vee_global, interpolate_composite):
+            v = interpolate(lambda x, y: 3.0, case.mesh, case.dofmap)
+            np.testing.assert_allclose(v.coefficients, 3.0, rtol=1e-13)
+        assert broken_l2_error(lambda x, y: 3.0, v) < 1e-13
+
     def test_interpolant_of_smooth_layer_is_continuous(self):
         # Jumps of the interpolant vanish across interior edges, so the
         # jump terms of the supercloseness error come from u_h alone.

@@ -1,11 +1,14 @@
 """Tests for the study command: config handling, sweep driver, formats."""
 
 import hashlib
+import re
 from types import SimpleNamespace
 
 import pytest
 
+from nipg2d import cli
 from nipg2d.cli import (
+    CONFIG_KEYS,
     StudyConfig,
     _bool,
     _parse_config_file,
@@ -77,16 +80,22 @@ class TestBuildConfig:
     def test_file_values_fill_the_config(self):
         cfg = build_config(
             {"k": "1,2", "eps": "1e-2, 1e-3", "n": "8,16", "sigma": "3.5",
-             "solver": "iterative", "rel_tol": "1e-8",
-             "dirichlet": "strong"},
+             "beta1": "1.5", "beta2": "2.5", "solver": "iterative",
+             "rel_tol": "1e-8", "max_iters": "7", "restart": "3",
+             "quad_order": "5", "dirichlet": "strong", "out_csv": "a.csv",
+             "out_md": "a.md"},
             no_args())
         assert cfg.k_list == (1, 2)
         assert cfg.eps_list == (1e-2, 1e-3)
         assert cfg.n_list == (8, 16)
         assert cfg.sigma == 3.5
+        assert (cfg.beta1, cfg.beta2) == (1.5, 2.5)
         assert cfg.solver.method == "iterative"
         assert cfg.solver.rel_tol == 1e-8
+        assert (cfg.solver.max_iters, cfg.solver.restart) == (7, 3)
+        assert cfg.quad_order == 5
         assert cfg.dirichlet == "strong"
+        assert (cfg.out_csv, cfg.out_md) == ("a.csv", "a.md")
         # condition estimates come from the direct solver only
         cfg = build_config({"k": "1", "eps": "1e-2",
                             "estimate_condition": "yes"}, no_args())
@@ -113,6 +122,12 @@ class TestBuildConfig:
         assert cfg.solver.method == "direct"
         assert cfg.solver.estimate_condition is False
         assert cfg.dirichlet == "weak"
+        # every default is the dataclasses' own
+        assert cfg == StudyConfig(k_list=(1,), eps_list=(1e-2,))
+
+    def test_docstring_lists_exactly_the_config_keys(self):
+        listed = re.findall(r"^    (\w+) = ", cli.__doc__, re.MULTILINE)
+        assert listed == list(CONFIG_KEYS)
 
 
 class TestValidation:
@@ -124,10 +139,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="double"):
             small_config(n_list=(8, 24)).validate()
 
-    def test_unknown_problem_is_rejected(self):
-        with pytest.raises(ValueError, match="problem"):
-            small_config(problem="mystery").validate()
-
     def test_unknown_dirichlet_mode_is_rejected(self):
         with pytest.raises(ValueError, match="Dirichlet"):
             small_config(dirichlet="penalty").validate()
@@ -137,6 +148,8 @@ class TestValidation:
             small_config(k_list=()).validate()
         with pytest.raises(ValueError):
             small_config(eps_list=()).validate()
+        with pytest.raises(ValueError):
+            small_config(n_list=()).validate()
 
 
 class TestRunStudy:
@@ -166,7 +179,11 @@ class TestRunStudy:
         assert echo["quad_order"] == "k + 2"
         assert echo["error_quad_order"] == "k + 3"
         assert echo["solver"] == "direct"
+        assert echo["max_iters"] == "5000"
+        assert echo["restart"] == "50"
         assert echo["estimate_condition"] == "false"
+        # every config key except the output paths is echoed
+        assert set(CONFIG_KEYS) - {"out_csv", "out_md"} <= set(echo)
 
     def test_output_is_deterministic_up_to_wall_clock(self):
         a = mask_wall_ms(format_csv(run_study(small_config())))
@@ -253,6 +270,21 @@ class TestMain:
         assert "quad_order" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("problem = mystery", "unknown config key(s) problem;"),
+        ("dirichelt = strong", "unknown config key(s) dirichelt;"),
+        ("sigma =", "error: sigma: "),
+    ], ids=["problem", "misspelled", "empty-value"])
+    def test_bad_config_key_exits_one(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"k = 1\neps = 1e-2\nn = 8\n{line}\n")
+        out_csv = tmp_path / "t.csv"
+        code = main(["study", "--config", str(cfg),
+                     "--out-csv", str(out_csv)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         code = main(["study", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1
@@ -266,3 +298,5 @@ class TestMain:
                      "--out-csv", str(tmp_path / "t.csv")])
         assert code == 2
         assert "missed the tolerance" in capsys.readouterr().err
+        echo, _ = parse_csv((tmp_path / "t.csv").read_text())
+        assert (echo["max_iters"], echo["restart"]) == ("1", "2")
