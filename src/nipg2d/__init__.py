@@ -21,7 +21,10 @@ Typical use::
 A :class:`DGFunction` is a coefficient vector on the mesh; the norms and
 interpolants of :mod:`nipg2d.analysis` work on those arrays, and the two
 reference-cell operators the interpolants apply are :func:`vee_operator`
-and :func:`l2_projector`, each a cached (points, matrix) pair.
+and :func:`l2_projector`, each a cached (points, matrix) pair.  All
+reference-cell data comes from two 1D primitives: :func:`gauss_legendre`
+(the Gauss rule) and :func:`lagrange_1d` (the Lobatto-node Lagrange basis
+and its derivative).
 """
 
 from .analysis import (ErrorRecord, NormComponents, broken_l2_error,
@@ -29,8 +32,8 @@ from .analysis import (ErrorRecord, NormComponents, broken_l2_error,
                        interpolate_vee_global, supercloseness_error)
 from .assembly import (CoefficientConditionError, DGFunction, DofMap,
                        ProblemData, SparseSystem, assemble, boundary_dofs)
-from .felib import (QuadratureRule, ReferenceBasis, gauss_legendre,
-                    l2_projector, lobatto_nodes, vee_operator)
+from .felib import (gauss_legendre, l2_projector, lagrange_1d,
+                    lobatto_nodes, vee_operator)
 from .mesh import (EdgeSet, EdgeType, MeshConfig, ShishkinMesh, build_mesh,
                    classify_edges, penalty_weight)
 from .problems import boundary_layer_problem
@@ -41,11 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientConditionError", "DGFunction", "DofMap", "EdgeSet",
     "EdgeType", "ErrorRecord", "MeshConfig", "NormComponents",
-    "ProblemData", "QuadratureRule", "ReferenceBasis", "ShishkinMesh",
-    "SolveReport", "SolverConfig", "SparseSystem", "assemble",
-    "boundary_dofs", "boundary_layer_problem", "broken_l2_error",
-    "build_mesh", "classify_edges", "convergence_rates", "energy_norm",
-    "gauss_legendre", "interpolate_composite", "interpolate_vee_global",
-    "l2_projector", "lobatto_nodes", "penalty_weight", "solve",
-    "supercloseness_error", "vee_operator",
+    "ProblemData", "ShishkinMesh", "SolveReport", "SolverConfig",
+    "SparseSystem", "assemble", "boundary_dofs", "boundary_layer_problem",
+    "broken_l2_error", "build_mesh", "classify_edges", "convergence_rates",
+    "energy_norm", "gauss_legendre", "interpolate_composite",
+    "interpolate_vee_global", "l2_projector", "lagrange_1d",
+    "lobatto_nodes", "penalty_weight", "solve", "supercloseness_error",
+    "vee_operator",
 ]

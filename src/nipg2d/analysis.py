@@ -29,8 +29,10 @@ from .assembly import DGFunction, _cells, _faces, _sample
 from .felib import l2_projector, reference_tables, vee_operator
 
 
-def interpolate_vee_global(u, mesh, dofmap, nq=None):
+def interpolate_vee_global(u, mesh, dofmap):
     """Apply the vertices-edges-element interpolant on every element.
+
+    Moments are taken with the (k + 2)-point Gauss rule per direction.
 
     Parameters
     ----------
@@ -38,31 +40,28 @@ def interpolate_vee_global(u, mesh, dofmap, nq=None):
         ``u(x, y)`` accepting ndarray arguments; constants broadcast.
     mesh : ShishkinMesh
     dofmap : DofMap
-    nq : int, optional
-        Moment-quadrature points per direction (default k + 2).
 
     Returns
     -------
     DGFunction
         Continuous across edges up to roundoff.
     """
-    nq = (dofmap.k + 2) if nq is None else int(nq)
-    points, matrix = vee_operator(dofmap.k, nq)
+    points, matrix = vee_operator(dofmap.k, dofmap.k + 2)
     _, _, x, y = _cells(mesh, *points.T)
     coeffs = _sample(u, x, y) @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
-def interpolate_composite(u, mesh, dofmap, nq=None):
+def interpolate_composite(u, mesh, dofmap):
     """Composite interpolant: local L2 projection on the coarse-coarse
     region, vertices-edges-element interpolant elsewhere.
 
     Coefficients coincide exactly with :func:`interpolate_vee_global`
-    on every element outside the coarse-coarse region.
+    on every element outside the coarse-coarse region; the projection
+    also uses the (k + 2)-point Gauss rule.
     """
-    vee = interpolate_vee_global(u, mesh, dofmap, nq=nq)
-    nq = (dofmap.k + 2) if nq is None else int(nq)
-    points, matrix = l2_projector(dofmap.k, nq)
+    vee = interpolate_vee_global(u, mesh, dofmap)
+    points, matrix = l2_projector(dofmap.k, dofmap.k + 2)
     n = mesh.config.n
     coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
     _, _, x, y = _cells(mesh, *points.T)
@@ -93,8 +92,9 @@ class NormComponents:
                 "inflow_outflow": self.inflow_outflow}
 
 
-def energy_norm(v, edges, problem, eps, quad_order=None):
-    """Energy norm of a :class:`DGFunction`, with component breakdown.
+def energy_norm(v, edges, problem, eps):
+    """Energy norm of a :class:`DGFunction`, with component breakdown,
+    by the (k + 3)-point Gauss rule per direction.
 
     Parameters
     ----------
@@ -104,8 +104,6 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
         Supplies b, c and div(b) for the weights.
     eps : float
         Diffusion parameter.
-    quad_order : int, optional
-        Gauss points per direction (default k + 3).
 
     Returns
     -------
@@ -117,9 +115,7 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
         If the sampled reaction weight c - div(b)/2 is not positive.
     """
     mesh, dofmap = v.mesh, v.dofmap
-    k = dofmap.k
-    nq = (k + 3) if quad_order is None else int(quad_order)
-    tab = reference_tables(k, nq)
+    tab = reference_tables(dofmap.k, dofmap.k + 3)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
 
     # volume parts
@@ -149,11 +145,11 @@ def energy_norm(v, edges, problem, eps, quad_order=None):
     return NormComponents(grad_part, reaction_part, penalty_part, flow_part)
 
 
-def broken_l2_error(u, v, quad_order=None):
-    """Broken L2 norm of u - v for a callable u and DGFunction v."""
+def broken_l2_error(u, v):
+    """Broken L2 norm of u - v for a callable u and DGFunction v, by the
+    (k + 3)-point Gauss rule per direction."""
     mesh, dofmap = v.mesh, v.dofmap
-    nq = (dofmap.k + 3) if quad_order is None else int(quad_order)
-    tab = reference_tables(dofmap.k, nq)
+    tab = reference_tables(dofmap.k, dofmap.k + 3)
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
     diff = _sample(u, x_q, y_q) - coeffs @ tab.vals
@@ -180,7 +176,7 @@ class ErrorRecord:
     components: dict = field(default_factory=dict)
 
 
-def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
+def supercloseness_error(u_h, edges, problem, eps):
     """Distance of u_h to the two interpolants of the exact solution.
 
     Parameters
@@ -191,8 +187,6 @@ def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
     problem : ProblemData
         Must carry an exact solution.
     eps : float
-    quad_order : int, optional
-        Gauss points per direction for the norms (default k + 3).
 
     Returns
     -------
@@ -206,8 +200,8 @@ def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
     comp = interpolate_composite(u, mesh, dofmap)
     diff_in = DGFunction(mesh, dofmap, vee.coefficients - u_h.coefficients)
     diff_pi = DGFunction(mesh, dofmap, comp.coefficients - u_h.coefficients)
-    parts_in = energy_norm(diff_in, edges, problem, eps, quad_order=quad_order)
-    parts_pi = energy_norm(diff_pi, edges, problem, eps, quad_order=quad_order)
+    parts_in = energy_norm(diff_in, edges, problem, eps)
+    parts_pi = energy_norm(diff_pi, edges, problem, eps)
     return ErrorRecord(
         k=dofmap.k,
         n=mesh.config.n,
@@ -215,7 +209,7 @@ def supercloseness_error(u_h, edges, problem, eps, quad_order=None):
         dofs=dofmap.total_dofs,
         e_in=parts_in.value,
         e_pi=parts_pi.value,
-        e_l2=broken_l2_error(u, u_h, quad_order=quad_order),
+        e_l2=broken_l2_error(u, u_h),
         components=parts_in.as_dict(),
     )
 

@@ -8,7 +8,7 @@ rows (the sweep still completes).
 
 Config files are flat ``key = value`` lines ('#' starts a comment); list
 values are comma separated.  The recognized keys follow; all are optional
-except k and eps, and any other key is an error::
+except k and eps, each may be set once, and any other key is an error::
 
     k = 1, 2            polynomial degrees
     eps = 1e-5, 1e-6    diffusion parameters
@@ -129,6 +129,7 @@ class StudyRow:
     wall_ms: float
     converged: bool
     condition: float | None = None
+    message: str = ""                  # why a solve degraded, if it did
 
 
 @dataclass
@@ -182,7 +183,8 @@ def run_study(config):
                     p_in=None, solver_iters=report.iterations,
                     residual=report.residual, wall_ms=wall_ms,
                     converged=report.converged,
-                    condition=report.condition_estimate))
+                    condition=report.condition_estimate,
+                    message=report.message))
             rates = analysis.convergence_rates(
                 [(r.n, r.e_in) for r in chain])
             for row, rate in zip(chain, rates):
@@ -253,7 +255,8 @@ def parse_csv(text):
     data_lines = []
     for line in text.splitlines():
         if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
+            # split at the last " = ": condition-estimate keys hold "="
+            key, _, val = line[1:].rpartition(" = ")
             echo[key.strip()] = val.strip()
         elif line.strip():
             data_lines.append(line)
@@ -315,8 +318,9 @@ def format_markdown(report):
 
 
 def _parse_config_file(path):
-    """Read a flat key = value config file into a dict of strings."""
-    raw = {}
+    """Read a flat key = value config file into a dict of strings; a key
+    set twice is an error."""
+    raw, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -326,7 +330,12 @@ def _parse_config_file(path):
             if not sep:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            raw[key.strip()] = val.strip()
+            key = key.strip()
+            if key in raw:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} repeated (first set on "
+                    f"line {first_line[key]})")
+            raw[key], first_line[key] = val.strip(), lineno
     return raw
 
 
@@ -339,12 +348,24 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _items(text):
+    """Comma-separated items of a list value; a blank value is the empty
+    list, a blank item an error."""
+    text = str(text)
+    if not text.strip():
+        return []
+    items = text.split(",")
+    if not all(item.strip() for item in items):
+        raise ValueError(f"empty item in list {text!r}")
+    return items
+
+
 def _ints(text):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(int(tok) for tok in _items(text))
 
 
 def _floats(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(float(tok) for tok in _items(text))
 
 
 #: config key -> (field it sets, parser of its text); "solver." fields
@@ -438,8 +459,10 @@ def main(argv=None):
         sys.stdout.write(csv_text)
 
     for row in report.degraded:
+        reason = f": {row.message}" if row.message else ""
         print(f"warning: solve k={row.k} eps={row.eps} N={row.n} missed the "
-              f"tolerance (residual {row.residual:.3e})", file=sys.stderr)
+              f"tolerance (residual {row.residual:.3e}){reason}",
+              file=sys.stderr)
     return 2 if report.degraded else 0
 
 

@@ -1,14 +1,18 @@
-"""Reference-cell machinery: quadrature, tensor-product basis, local operators.
+"""Reference-cell machinery: 1D quadrature and Lagrange tables, their
+tensor products, and the local operators.
 
 Everything in this module lives on the reference cell K = (-1, 1)^2 (or the
 reference interval (-1, 1) for one-dimensional pieces).  Physical-cell
 quantities are obtained by affine scaling in the calling code.
 
-This module owns all reference-cell data: :func:`reference_tables` builds
-the basis values, gradients and side traces at the Gauss points once per
-(k, nq) and caches them read-only, and both local operators (the
-vertices-edges-element interpolant and the L2 projection) are precomputed
-matrices acting on samples.
+Q_k is a tensor-product space and the library only evaluates it on tensor
+products of 1D point sets, so two 1D primitives carry all the data:
+:func:`gauss_legendre` (the Gauss rule) and :func:`lagrange_1d` (the
+Lobatto-node Lagrange basis and its derivative).  :func:`reference_tables`
+takes their outer products at the Gauss points once per (k, nq) and caches
+them read-only, and both local operators (the vertices-edges-element
+interpolant and the L2 projection) are precomputed matrices acting on
+samples.
 
 Conventions
 -----------
@@ -19,60 +23,28 @@ Conventions
 """
 
 import numpy as np
-from dataclasses import dataclass
 from functools import lru_cache
 
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import block_diag
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule with ``n`` points on (-1, 1).
-
-    Attributes
-    ----------
-    n : int
-        Number of points; the rule integrates polynomials of degree
-        2n - 1 exactly.
-    nodes, weights : ndarray, shape (n,)
-        Points (ascending) and positive weights summing to 2.
-    """
-
-    n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def points_2d(self):
-        """Tensorized points on (-1,1)^2, shape (n^2, 2), x-major order."""
-        xi = np.repeat(self.nodes, self.n)
-        eta = np.tile(self.nodes, self.n)
-        return np.column_stack([xi, eta])
-
-    def weights_2d(self):
-        """Tensorized weights, shape (n^2,), matching :meth:`points_2d`."""
-        return np.repeat(self.weights, self.n) * np.tile(self.weights, self.n)
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n):
     """Return the ``n``-point Gauss-Legendre rule on (-1, 1).
 
-    Parameters
-    ----------
-    n : int
-        Number of quadrature points, n >= 1.
+    The rule integrates polynomials of degree 2n - 1 exactly.
 
     Returns
     -------
-    QuadratureRule
+    (nodes, weights) : read-only ndarrays of shape (n,), cached per n
+        Ascending points and positive weights summing to 2.
     """
     if n < 1:
         raise ValueError(f"quadrature rule needs at least one point, got n={n}")
     nodes, weights = npleg.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(n, nodes, weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def lobatto_nodes(m):
@@ -89,85 +61,57 @@ def lobatto_nodes(m):
     return np.concatenate([[-1.0], np.sort(inner.real), [1.0]])
 
 
-class ReferenceBasis:
-    """Nodal tensor-product basis for Q_k on the reference cell (-1, 1)^2.
-
-    The one-dimensional Lagrange basis sits on k+1 Gauss-Lobatto nodes
-    (so traces on a cell side are determined by the nodes on that side).
-    Values are evaluated in product form, prod_{j != i} (x - x_j) /
-    (x_i - x_j), which is exactly 0 or 1 at the nodes, so a basis function
-    vanishes exactly on the sides that do not carry its node.  Derivatives
-    go through an inverted Vandermonde matrix, which is well conditioned
-    for the small degrees used here.
-
-    Parameters
-    ----------
-    k : int
-        Polynomial degree per direction, k >= 1.
-    """
-
-    def __init__(self, k):
-        if k < 1:
-            raise ValueError(f"polynomial degree must be >= 1, got k={k}")
-        self.k = k
-        self.ndof_1d = k + 1
-        self.ndof = (k + 1) ** 2
-        self.nodes_1d = lobatto_nodes(k + 1)
-        # denominators prod_{j != i} (x_i - x_j), formed by the same products
-        # as the numerators so that L_i(x_i) is exactly 1
-        self._denom_1d = np.diag(self._node_products(self.nodes_1d)).copy()
-        # coeff_1d[q, i]: coefficient of x^q in the i-th Lagrange polynomial
-        coeff_1d = np.linalg.inv(np.vander(self.nodes_1d, increasing=True))
-        # derivative coefficients: d/dx sum_q c_q x^q = sum_q (q+1) c_{q+1} x^q
-        self.dcoeff_1d = coeff_1d[1:, :] * np.arange(1, k + 1)[:, None]
-
-    # -- one-dimensional pieces -------------------------------------------
-
-    def _node_products(self, x):
-        """prod_{j != i} (x - x_j) for every node i, shape (len(x), k+1)."""
-        diff = x[:, None] - self.nodes_1d
-        return np.stack([np.prod(np.delete(diff, i, axis=1), axis=1)
-                         for i in range(self.ndof_1d)], axis=1)
-
-    def eval_1d(self, x):
-        """Values of the k+1 Lagrange polynomials, shape (k+1, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # point-major storage, as deriv_1d returns it: the assembly
-        # contractions over quadrature points run faster on this layout
-        return (self._node_products(x) / self._denom_1d).T
-
-    def deriv_1d(self, x):
-        """Derivatives of the k+1 Lagrange polynomials, shape (k+1, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        powers = np.vander(x, self.ndof_1d - 1, increasing=True)
-        return (powers @ self.dcoeff_1d).T
-
-    # -- two-dimensional pieces -------------------------------------------
-
-    def eval_2d(self, points):
-        """Basis values at ``points`` (npts, 2); returns (ndof, npts)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        lx = self.eval_1d(points[:, 0])
-        ly = self.eval_1d(points[:, 1])
-        return np.einsum("ap,bp->abp", lx, ly).reshape(self.ndof, -1)
-
-    def grad_2d(self, points):
-        """Reference-cell gradients at ``points``; returns a pair of
-        (ndof, npts) arrays (d/dxi, d/deta)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        lx = self.eval_1d(points[:, 0])
-        ly = self.eval_1d(points[:, 1])
-        dx = self.deriv_1d(points[:, 0])
-        dy = self.deriv_1d(points[:, 1])
-        gx = np.einsum("ap,bp->abp", dx, ly).reshape(self.ndof, -1)
-        gy = np.einsum("ap,bp->abp", lx, dy).reshape(self.ndof, -1)
-        return gx, gy
+def _node_products(x, nodes):
+    """prod_{j != i} (x - x_j) for every node i, shape (len(x), len(nodes))."""
+    diff = x[:, None] - nodes
+    return np.stack([np.prod(np.delete(diff, i, axis=1), axis=1)
+                     for i in range(len(nodes))], axis=1)
 
 
 @lru_cache(maxsize=None)
-def reference_basis(k):
-    """Cached :class:`ReferenceBasis` of degree ``k``."""
-    return ReferenceBasis(k)
+def _lagrange_data(k):
+    """Lobatto nodes, product-form denominators and derivative coefficients
+    of the degree-``k`` Lagrange basis."""
+    if k < 1:
+        raise ValueError(f"polynomial degree must be >= 1, got k={k}")
+    nodes = lobatto_nodes(k + 1)
+    # denominators prod_{j != i} (x_i - x_j), formed by the same products
+    # as the numerators so that L_i(x_i) is exactly 1
+    denom = np.diag(_node_products(nodes, nodes)).copy()
+    # coeff[q, i]: coefficient of x^q in the i-th Lagrange polynomial
+    coeff = np.linalg.inv(np.vander(nodes, increasing=True))
+    # derivative coefficients: d/dx sum_q c_q x^q = sum_q (q+1) c_{q+1} x^q
+    return nodes, denom, coeff[1:, :] * np.arange(1, k + 1)[:, None]
+
+
+def lagrange_1d(k, x):
+    """Lagrange basis of degree ``k`` on the k+1 Gauss-Lobatto nodes.
+
+    Values are evaluated in product form, prod_{j != i} (x - x_j) /
+    (x_i - x_j), which is exactly 0 or 1 at the nodes, so a 2D basis
+    function vanishes exactly on the sides that do not carry its node.
+    Derivatives go through an inverted Vandermonde matrix, which is well
+    conditioned for the small degrees used here.
+
+    Returns
+    -------
+    (values, derivatives) : ndarrays of shape (k+1, len(x))
+        Point-major (F-ordered): the assembly contractions over quadrature
+        points run faster on this layout.
+    """
+    nodes, denom, dcoeff = _lagrange_data(k)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    values = _node_products(x, nodes) / denom
+    derivatives = np.vander(x, k, increasing=True) @ dcoeff
+    return values.T, derivatives.T
+
+
+def _outer(fx, fy):
+    """Q_k table of the products fx[a, p] * fy[b, q] of two 1D tables:
+    row a*(k+1) + b, column p*ny + q over the nx x-points p and ny y-points
+    q (x-major, as the 2D Gauss points), stored point-major."""
+    npts = fx.shape[1] * fy.shape[1]
+    return np.einsum("ap,bq->pqab", fx, fy, order="C").reshape(npts, -1).T
 
 
 #: reference sides of the cell (xi = -1, xi = 1, eta = -1, eta = 1),
@@ -186,24 +130,28 @@ class ReferenceTables:
     reference derivative transverse to the side (d/dxi on left/right,
     d/deta on bottom/top).  One cached instance per (k, nq) serves assembly,
     the norms and both local operators, so every array is read-only.  The
-    tables are point-major, as ``eval_1d`` returns them: the volume
+    tables are point-major, as :func:`lagrange_1d` returns them: the volume
     ``np.einsum`` calls of assembly depend on it (~45% slower on C order).
     """
 
     def __init__(self, k, nq):
-        basis = reference_basis(k)
-        rule = gauss_legendre(nq)
-        t, ones = rule.nodes, np.ones(nq)
-        self.t, self.w1 = t, rule.weights
-        self.points, self.w2 = rule.points_2d(), rule.weights_2d()
-        self.vals = basis.eval_2d(self.points)
-        self.gx, self.gy = basis.grad_2d(self.points)
+        t, w1 = gauss_legendre(nq)
+        ones = np.ones(nq)
+        self.t, self.w1 = t, w1
+        self.points = np.column_stack([np.repeat(t, nq), np.tile(t, nq)])
+        self.w2 = np.repeat(w1, nq) * np.tile(w1, nq)
+        val, der = lagrange_1d(k, t)
+        end_val, end_der = lagrange_1d(k, (-1.0, 1.0))
+        self.vals = _outer(val, val)
+        self.gx, self.gy = _outer(der, val), _outer(val, der)
         self.side_points = tuple(
             np.column_stack(p)
             for p in ((-ones, t), (ones, t), (t, -ones), (t, ones)))
-        self.tr = tuple(basis.eval_2d(p) for p in self.side_points)
-        self.dn = tuple(basis.grad_2d(p)[side // 2]
-                        for side, p in enumerate(self.side_points))
+        ends = (slice(0, 1), slice(1, 2))       # xi or eta = -1, then 1
+        self.tr = (tuple(_outer(end_val[:, e], val) for e in ends)
+                   + tuple(_outer(val, end_val[:, e]) for e in ends))
+        self.dn = (tuple(_outer(end_der[:, e], val) for e in ends)
+                   + tuple(_outer(val, end_der[:, e]) for e in ends))
         for value in vars(self).values():
             for arr in value if isinstance(value, tuple) else (value,):
                 arr.flags.writeable = False
@@ -262,7 +210,9 @@ def vee_operator(k, nq):
     tab = reference_tables(k, nq)       # rejects k < 1
     corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
     points = np.vstack([corners, *tab.side_points, tab.points])
-    bvals = np.hstack([reference_basis(k).eval_2d(corners), *tab.tr,
+    end_val, _ = lagrange_1d(k, (-1.0, 1.0))
+    # the x-major corner grid is (-1,-1), (-1,1), (1,-1), (1,1)
+    bvals = np.hstack([_outer(end_val, end_val)[:, [0, 2, 3, 1]], *tab.tr,
                        tab.vals])
     # Gauss-weighted Legendre polynomials of degree 0..k-2 (none for k=1)
     moments = tab.w1 * npleg.legvander(tab.t, k)[:, :k - 1].T

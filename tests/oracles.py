@@ -2,26 +2,38 @@
 
 Everything here is written directly from the weak form and the norm
 definition with plain Python loops and generous quadrature, so the
-vectorized library code can be checked entry by entry.  Only the
-reference-cell basis evaluation is shared with the library; that layer
-is verified separately against finite differences and monomials.
+vectorized library code can be checked entry by entry.  Only the 1D
+Lagrange basis (:func:`nipg2d.felib.lagrange_1d`) and the Gauss rule are
+shared with the library; :func:`basis_2d` builds the 2D basis from them
+here, and the 1D layer is verified separately against finite differences
+and monomials.
 :func:`dg_eval` and the edge-trace helpers at the end evaluate a library
 DGFunction pointwise.
 """
 
 import numpy as np
 
-from nipg2d.felib import gauss_legendre, reference_basis
+from nipg2d.felib import gauss_legendre, lagrange_1d
 from nipg2d.mesh import NO_ELEMENT, EdgeType, penalty_weight
+
+
+def basis_2d(k, xi, eta):
+    """Values and reference gradients (d/dxi, d/deta) of all Q_k basis
+    functions at the points (xi, eta), each ((k+1)^2, npts); local index
+    m = a*(k+1) + b pairs the xi-node a with the eta-node b."""
+    lx, dx = lagrange_1d(k, xi)
+    ly, dy = lagrange_1d(k, eta)
+
+    def product(fx, fy):
+        return np.einsum("ap,bp->abp", fx, fy).reshape((k + 1) ** 2, -1)
+
+    return product(lx, ly), product(dx, ly), product(lx, dy)
 
 
 def _phys_basis(mesh, k, i, j, xi, eta):
     """Values and physical gradients of all local basis functions of
     element (i, j) at reference points (xi, eta)."""
-    basis = reference_basis(k)
-    pts = np.column_stack([np.atleast_1d(xi), np.atleast_1d(eta)])
-    vals = basis.eval_2d(pts)
-    gxi, geta = basis.grad_2d(pts)
+    vals, gxi, geta = basis_2d(k, xi, eta)
     gx = gxi * (2.0 / mesh.h_x[i])
     gy = geta * (2.0 / mesh.h_y[j])
     return vals, gx, gy
@@ -98,8 +110,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
     ndl = dofmap.ndof_local
     total = dofmap.total_dofs
     a = np.zeros((total, total))
-    rule = gauss_legendre(nq)
-    t, w = rule.nodes, rule.weights
+    t, w = gauss_legendre(nq)
 
     # volume terms, element by element, quadrature point by point
     for i in range(n):
@@ -250,8 +261,7 @@ def dense_load_vector(mesh, dofmap, problem, nq=10):
     n = mesh.config.n
     k = dofmap.k
     ndl = dofmap.ndof_local
-    rule = gauss_legendre(nq)
-    t, w = rule.nodes, rule.weights
+    t, w = gauss_legendre(nq)
     rhs = np.zeros(dofmap.total_dofs)
     for i in range(n):
         for j in range(n):
@@ -277,8 +287,7 @@ def energy_components_bruteforce(v, problem, eps, nq=10):
     dofmap = v.dofmap
     n = mesh.config.n
     k = dofmap.k
-    rule = gauss_legendre(nq)
-    t, w = rule.nodes, rule.weights
+    t, w = gauss_legendre(nq)
     coeffs = v.coefficients.reshape(n * n, -1)
 
     def value(i, j, xi, eta):
@@ -432,11 +441,11 @@ def inflow_outflow_split(mesh, problem, i, j, nq=4):
     sample point, outflow when b . n >= 0 everywhere.  Raises ValueError
     if b . n changes sign within one side.
     """
-    rule = gauss_legendre(nq)
+    t, _ = gauss_legendre(nq)
     x0, x1 = mesh.x_pts[i:i + 2]
     y0, y1 = mesh.y_pts[j:j + 2]
-    xs = x0 + (rule.nodes + 1.0) * 0.5 * (x1 - x0)
-    ys = y0 + (rule.nodes + 1.0) * 0.5 * (y1 - y0)
+    xs = x0 + (t + 1.0) * 0.5 * (x1 - x0)
+    ys = y0 + (t + 1.0) * 0.5 * (y1 - y0)
     sides = {
         "left": -np.asarray(problem.b1(np.full_like(ys, x0), ys), dtype=float),
         "right": np.asarray(problem.b1(np.full_like(ys, x1), ys), dtype=float),

@@ -27,7 +27,7 @@ from nipg2d.analysis import (
     supercloseness_error,
 )
 from nipg2d.assembly import assemble
-from nipg2d.felib import gauss_legendre
+from nipg2d.felib import reference_tables
 from nipg2d.mesh import NO_ELEMENT
 
 import oracles
@@ -203,10 +203,8 @@ class TestAcceptance:
         case2 = make_case(k=k, n=8, eps=1e-3)
         u = case2.problem.exact
         comp = interpolate_composite(u, case2.mesh, case2.dofmap)
-        rule = gauss_legendre(k + 2)
-        xi = np.repeat(rule.nodes, k + 2)
-        eta = np.tile(rule.nodes, k + 2)
-        w2 = np.repeat(rule.weights, k + 2) * np.tile(rule.weights, k + 2)
+        tab = reference_tables(k, k + 2)
+        (xi, eta), w2 = tab.points.T, tab.w2
         moment = 0.0
         coarse = coarse_elements(case2.mesh)
         for i, j in [(0, 0), (1, 2), (3, 3)]:

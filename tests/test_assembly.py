@@ -24,7 +24,7 @@ from nipg2d import (
 )
 import nipg2d
 from nipg2d.analysis import interpolate_vee_global
-from nipg2d.felib import reference_basis
+from nipg2d.felib import lobatto_nodes
 
 from helpers import make_case, make_mesh, random_dg_coefficients
 from oracles import dg_eval, edge_segment, inflow_outflow_split, trace_pair
@@ -60,7 +60,7 @@ class TestDofMap:
         case = make_case(k=k, n=n, eps=1e-2)
         v = interpolate_vee_global(lambda x, y: x + 10.0 * y, case.mesh,
                                    case.dofmap)
-        nodes = (reference_basis(k).nodes_1d + 1.0) * 0.5
+        nodes = (lobatto_nodes(k + 1) + 1.0) * 0.5
         x = case.mesh.x_pts[:-1, None] + nodes * case.mesh.h_x[:, None]
         y = case.mesh.y_pts[:-1, None] + nodes * case.mesh.h_y[:, None]
         expected = x[:, None, :, None] + 10.0 * y[None, :, None, :]

@@ -193,12 +193,17 @@ class TestRunStudy:
 
     def test_condition_estimates_on_request(self):
         cfg = small_config(
-            n_list=(8,),
+            eps_list=(1e-2, 1e-3),
             solver=SolverConfig(estimate_condition=True))
         report = run_study(cfg)
-        assert report.rows[0].condition is not None
+        assert len(report.rows) == 4
+        assert all(r.condition is not None for r in report.rows)
         csv_text = format_csv(report)
         assert "# condition_estimate k=1 eps=0.01 N=8 = " in csv_text
+        echo, _ = parse_csv(csv_text)
+        for r in report.rows:
+            key = f"condition_estimate k=1 eps={r.eps:g} N={r.n}"
+            assert float(echo[key]) == pytest.approx(r.condition, rel=1e-3)
         md = format_markdown(report)
         assert "Condition estimates (1-norm):" in md
 
@@ -270,14 +275,19 @@ class TestMain:
         assert "quad_order" in capsys.readouterr().err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("line,message", [
-        ("problem = mystery", "unknown config key(s) problem;"),
-        ("dirichelt = strong", "unknown config key(s) dirichelt;"),
-        ("sigma =", "error: sigma: "),
-    ], ids=["problem", "misspelled", "empty-value"])
-    def test_bad_config_key_exits_one(self, tmp_path, capsys, line, message):
+    @pytest.mark.parametrize("lines,message", [
+        ("k = 1\nproblem = mystery", "unknown config key(s) problem;"),
+        ("k = 1\ndirichelt = strong", "unknown config key(s) dirichelt;"),
+        ("k = 1\nsigma =", "error: sigma: "),
+        ("k = 1\nsolver = iterative\nsolver = direct",
+         ":5: key 'solver' repeated (first set on line 4)"),
+        ("k = 1,,2", "error: k: empty item in list '1,,2'"),
+    ], ids=["problem", "misspelled", "empty-value", "repeated-key",
+            "empty-item"])
+    def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
+                                      message):
         cfg = tmp_path / "study.cfg"
-        cfg.write_text(f"k = 1\neps = 1e-2\nn = 8\n{line}\n")
+        cfg.write_text(f"eps = 1e-2\nn = 8\n{lines}\n")
         out_csv = tmp_path / "t.csv"
         code = main(["study", "--config", str(cfg),
                      "--out-csv", str(out_csv)])
@@ -297,6 +307,8 @@ class TestMain:
         code = main(["study", "--config", str(cfg),
                      "--out-csv", str(tmp_path / "t.csv")])
         assert code == 2
-        assert "missed the tolerance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "missed the tolerance" in err
+        assert "GMRES stopped after" in err
         echo, _ = parse_csv((tmp_path / "t.csv").read_text())
         assert (echo["max_iters"], echo["restart"]) == ("1", "2")

@@ -1,4 +1,5 @@
-"""Reference-cell machinery: quadrature, tensor basis, local operators."""
+"""Reference-cell machinery: 1D quadrature and Lagrange tables, their
+tensor products, local operators."""
 
 import numpy as np
 import pytest
@@ -10,15 +11,18 @@ from nipg2d.felib import (
     face_products,
     gauss_legendre,
     l2_projector,
-    reference_basis,
+    lagrange_1d,
+    lobatto_nodes,
     reference_tables,
     vee_operator,
 )
 
+from oracles import basis_2d
+
 
 def eval_basis(k, xi, eta):
     """All Q_k basis functions at the points (xi, eta), ((k+1)^2, npts)."""
-    return reference_basis(k).eval_2d(np.column_stack([xi, eta]))
+    return basis_2d(k, xi, eta)[0]
 
 
 def apply(operator, w):
@@ -30,41 +34,46 @@ def apply(operator, w):
 
 class TestGaussLegendre:
     def test_single_point_is_midpoint_rule(self):
-        rule = gauss_legendre(1)
-        assert rule.nodes == pytest.approx([0.0])
-        assert rule.weights == pytest.approx([2.0])
+        t, w = gauss_legendre(1)
+        assert t == pytest.approx([0.0])
+        assert w == pytest.approx([2.0])
 
     def test_two_point_rule_is_analytic(self):
-        rule = gauss_legendre(2)
-        assert np.allclose(sorted(rule.nodes),
-                           [-1/np.sqrt(3), 1/np.sqrt(3)], atol=1e-15)
-        assert rule.weights == pytest.approx([1.0, 1.0])
+        t, w = gauss_legendre(2)
+        assert np.allclose(sorted(t), [-1/np.sqrt(3), 1/np.sqrt(3)],
+                           atol=1e-15)
+        assert w == pytest.approx([1.0, 1.0])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_weights_sum_to_interval_length(self, n):
-        assert sum(gauss_legendre(n).weights) == pytest.approx(2.0, abs=1e-14)
+        _, w = gauss_legendre(n)
+        assert sum(w) == pytest.approx(2.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_monomial_exactness_up_to_degree_2n_minus_1(self, n):
-        rule = gauss_legendre(n)
+        t, w = gauss_legendre(n)
         for d in range(2 * n):
             exact = 0.0 if d % 2 else 2.0 / (d + 1)
-            approx = float(np.dot(rule.weights, rule.nodes ** d))
-            assert approx == pytest.approx(exact, abs=1e-14)
+            assert float(np.dot(w, t ** d)) == pytest.approx(exact, abs=1e-14)
 
     def test_three_point_rule_integrates_quartic(self):
-        rule = gauss_legendre(3)
-        assert float(np.dot(rule.weights, rule.nodes ** 4)) == pytest.approx(
-            2.0 / 5.0, abs=1e-14)
+        t, w = gauss_legendre(3)
+        assert float(np.dot(w, t ** 4)) == pytest.approx(2.0 / 5.0, abs=1e-14)
 
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
 
+    def test_cached_rule_is_read_only(self):
+        rule = gauss_legendre(3)
+        assert gauss_legendre(3) is rule
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
     def test_tensor_view_integrates_2d_monomials(self):
-        rule = gauss_legendre(4)
-        pts = rule.points_2d()
-        w2 = rule.weights_2d()
+        tab = reference_tables(1, 4)
+        pts, w2 = tab.points, tab.w2
         for a in range(6):
             for b in range(6):
                 ex = (0.0 if a % 2 else 2.0 / (a + 1)) * (
@@ -74,26 +83,40 @@ class TestGaussLegendre:
 
 
 class TestReferenceBasis:
+    """The 1D Lagrange tables, and the 2D basis the oracles build from
+    them."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_shapes_are_point_major(self, k):
+        vals, ders = lagrange_1d(k, np.linspace(-1, 1, 7))
+        for arr in (vals, ders):
+            assert arr.shape == (k + 1, 7)
+            assert arr.flags.f_contiguous
+
+    def test_rejects_degree_zero(self):
+        with pytest.raises(ValueError):
+            lagrange_1d(0, [0.0])
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_nodal_partition_of_unity(self, k):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(-1, 1, size=(20, 2))
+        pts = np.random.default_rng(7).uniform(-1, 1, size=(20, 2))
+        vals, ders = lagrange_1d(k, pts[:, 0])
+        assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-13)
+        assert np.allclose(ders.sum(axis=0), 0.0, atol=1e-12)
         vals = eval_basis(k, pts[:, 0], pts[:, 1])
         assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_values_at_the_nodes_are_exactly_kronecker(self, k):
-        basis = reference_basis(k)
-        np.testing.assert_array_equal(basis.eval_1d(basis.nodes_1d),
-                                      np.eye(k + 1))
+        vals, _ = lagrange_1d(k, lobatto_nodes(k + 1))
+        np.testing.assert_array_equal(vals, np.eye(k + 1))
 
     def test_gradient_of_bilinear_product(self):
         # coefficients representing w(xi, eta) = xi * eta on a nodal basis
-        basis = reference_basis(1)
-        nodes = basis.nodes_1d
+        nodes = lobatto_nodes(2)
         coeffs = np.array([nodes[a] * nodes[b]
                            for a in range(2) for b in range(2)])
-        gx, gy = basis.grad_2d(np.array([[0.3, -0.2]]))
+        _, gx, gy = basis_2d(1, [0.3], [-0.2])
         assert coeffs @ gx[:, 0] == pytest.approx(-0.2, abs=1e-14)
         assert coeffs @ gy[:, 0] == pytest.approx(0.3, abs=1e-14)
 
@@ -105,8 +128,7 @@ class TestReferenceBasis:
             return sum(cof[a, b] * xi ** a * eta ** b
                        for a in range(4) for b in range(4))
 
-        basis = reference_basis(3)
-        nodes = basis.nodes_1d
+        nodes = lobatto_nodes(4)
         coeffs = np.array([w(nodes[a], nodes[b])
                            for a in range(4) for b in range(4)])
         grid = np.linspace(-1, 1, 5)
@@ -117,10 +139,13 @@ class TestReferenceBasis:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gradients_match_finite_differences(self, k):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.9, 0.9, size=(10, 2))
+        pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(10, 2))
         h = 1e-6
-        gx, gy = reference_basis(k).grad_2d(pts)
+        _, ders = lagrange_1d(k, pts[:, 0])
+        fd = (lagrange_1d(k, pts[:, 0] + h)[0]
+              - lagrange_1d(k, pts[:, 0] - h)[0]) / (2 * h)
+        assert np.max(np.abs(ders - fd)) <= 1e-7
+        _, gx, gy = basis_2d(k, pts[:, 0], pts[:, 1])
         fd_x = (eval_basis(k, pts[:, 0] + h, pts[:, 1])
                 - eval_basis(k, pts[:, 0] - h, pts[:, 1])) / (2 * h)
         fd_y = (eval_basis(k, pts[:, 0], pts[:, 1] + h)
@@ -143,6 +168,15 @@ class TestReferenceTables:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_2d_tables_are_point_major(self, k):
+        # assembly's volume contractions run ~45% slower on C order
+        for nq in range(k + 1, k + 5):
+            tab = reference_tables(k, nq)
+            for arr in (tab.vals, tab.gx, tab.gy, *tab.tr, *tab.dn):
+                assert arr.shape[0] == (k + 1) ** 2
+                assert arr.flags.f_contiguous and not arr.flags.c_contiguous
 
     @pytest.mark.parametrize("operator", [vee_operator, l2_projector])
     def test_local_operators_are_cached_and_read_only(self, operator):
@@ -217,8 +251,7 @@ class TestVeeInterpolation:
             return np.asarray(xi, dtype=float) ** 3 + 0.0 * np.asarray(eta)
 
         coeffs = apply(vee_operator(k, k + 2), w)
-        rule = gauss_legendre(2 * (k + 2))
-        t, wt = rule.nodes, rule.weights
+        t, wt = gauss_legendre(2 * (k + 2))
 
         def p(xi, eta):
             vals = eval_basis(k, np.atleast_1d(xi), np.atleast_1d(eta))
@@ -288,8 +321,7 @@ class TestLocalL2Projection:
         coeffs = apply(l2_projector(1, 4), w)
         # the best bilinear approximation of xi^2 is the constant 1/3
         assert np.allclose(coeffs, 1.0 / 3.0, atol=1e-13)
-        rule = gauss_legendre(4)
-        t, wt = rule.nodes, rule.weights
+        t, wt = gauss_legendre(4)
         xs, ys = np.meshgrid(t, t, indexing="ij")
         w2 = np.outer(wt, wt).ravel()
         vals = eval_basis(1, xs.ravel(), ys.ravel())
@@ -312,9 +344,8 @@ class TestLocalL2Projection:
 
 def local_mass_matrix(k):
     """Reference-cell mass matrix; the (k+2)-point rule is exact for it."""
-    rule = gauss_legendre(k + 2)
-    vals = reference_basis(k).eval_2d(rule.points_2d())
-    return (vals * rule.weights_2d()) @ vals.T
+    tab = reference_tables(k, k + 2)
+    return (tab.vals * tab.w2) @ tab.vals.T
 
 
 class TestLocalMassMatrix:
