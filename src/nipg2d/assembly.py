@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from scipy.sparse import bsr_matrix, csr_matrix, diags
 
 from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
-from .mesh import NO_ELEMENT
+from .mesh import NO_ELEMENT, element_order
 
 
 class CoefficientConditionError(ValueError):
@@ -91,10 +91,18 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
-    """Assembled matrix and load vector."""
+    """Assembled matrix and load vector.
+
+    ``order``, when set, is the dof elimination order for the direct
+    solver: a permutation of the dofs, listed in the order they are
+    eliminated.  :func:`assemble` sets the element minimum-degree order
+    of :func:`~nipg2d.mesh.element_order`, with the (k+1)^2 dofs of each
+    element kept together; ``None`` leaves the choice to the solver.
+    """
 
     matrix: csr_matrix
     rhs: np.ndarray
+    order: np.ndarray | None = None
 
 
 @dataclass
@@ -255,8 +263,9 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     Returns
     -------
     SparseSystem
-        The matrix is canonical CSR with int32 indices; weak mode stores
-        one dense (k+1)^2 block per element and face neighbour.
+        The matrix is canonical CSR with int32 indices and no stored
+        zeros; ``order`` eliminates the mesh elements in minimum-degree
+        order, each element's dofs together.
     """
     n = mesh.config.n
     k = dofmap.k
@@ -330,8 +339,12 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
         shape=(dofmap.total_dofs,) * 2)
     del blocks, vol
     matrix = block_rows.tocsr()
+    # neighbour blocks are exactly zero wherever neither node lies on the
+    # shared side, where the Lobatto-nodal traces vanish
+    matrix.eliminate_zeros()
 
-    system = SparseSystem(matrix, rhs)
+    order = (element_order(n)[:, None] * ndl + np.arange(ndl)).ravel()
+    system = SparseSystem(matrix, rhs, order)
     if dirichlet == "strong":
         _eliminate_boundary_dofs(system, mesh, dofmap)
     return system

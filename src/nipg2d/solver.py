@@ -6,9 +6,16 @@ orders, and equilibration keeps the factorizations well behaved for small
 diffusion parameters.
 
 The direct path factors the equilibrated matrix with SuperLU in its
-symmetric-pattern mode: a minimum-degree ordering on the pattern of
-A^T + A, applied to rows and columns alike, with diagonal pivots preferred
-(threshold 1e-4).  That suits the NIPG matrix.  Its pattern is symmetric,
+symmetric-pattern mode: one ordering applied to rows and columns alike,
+with diagonal pivots preferred (threshold 1e-4).  The ordering is the
+system's own ``order`` when it has one; :func:`~nipg2d.assembly.assemble`
+sets the minimum-degree order of the element graph, which keeps each
+element's dofs together.  At k = 1 and 2 that leaves a smaller LU than
+minimum degree on the dof graph (10.3M against 13.5M entries at k = 1,
+N = 128), at k = 3 a larger one (5.5M against 3.9M at N = 32).  Without
+an order, SuperLU's minimum degree on the pattern of A^T + A is used.
+
+Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
 is positive definite, since v^T A v = B(v, v) = |v|_E^2 > 0, and such a
 matrix has an LU without off-diagonal pivots.  Row scaling keeps that LU
@@ -93,23 +100,55 @@ class SolveReport:
     lu_fill: int | None = None
 
 
-def _equilibrate(matrix, rhs):
-    """Scale rows by their largest absolute entry."""
+def _equilibrate(matrix, rhs, order=None):
+    """Scale rows by their largest absolute entry.
+
+    Returns the scaled matrix DA as CSC, or P (DA) P^T (row and column
+    ``order[i]`` of DA moved to position i) when an ``order`` is given, so
+    that only the copy to be factored is kept; and Db and the diagonal of D.
+    """
     row_max = np.abs(matrix).max(axis=1).toarray().ravel()
     row_max[row_max == 0.0] = 1.0
     scale = 1.0 / row_max
     d = diags(scale)
-    return (d @ matrix).tocsc(), d @ rhs, scale
+    scaled = d @ matrix
+    if order is not None:
+        scaled = scaled[order][:, order]
+    return scaled.tocsc(), d @ rhs, scale
+
+
+def _factor(scaled, order):
+    """Sparse LU of the equilibrated matrix in symmetric-pattern mode.
+
+    ``scaled`` comes from :func:`_equilibrate` with the same ``order``.
+    With an order, P (DA) P^T is factored in natural order; without one,
+    SuperLU orders DA by minimum degree on its A^T + A pattern.  Returns
+    the solve function ``(b, trans="N") -> x`` for DA and the LU fill.
+    """
+    options = dict(diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
+    if order is None:
+        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", **options)
+        return lu.solve, lu.nnz
+    lu = splu(scaled, permc_spec="NATURAL", **options)
+
+    # a plain closure: an object holding the LU in a reference cycle
+    # would keep it alive until the cycle collector runs
+    def solve_unpermuted(b, trans="N"):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order], trans)
+        return x
+
+    return solve_unpermuted, lu.nnz
 
 
 def solve(system, config=None):
     """Solve an assembled :class:`~nipg2d.assembly.SparseSystem`.
 
-    The direct path factors the row-equilibrated matrix with a
-    minimum-degree ordering on the pattern of A^T + A and diagonal pivots
-    preferred down to a threshold of 1e-4 (see the module docstring for
-    why the coercive NIPG matrix admits them).  Iterative refinement
-    against the unscaled system stops at the residual target
+    The direct path factors the row-equilibrated matrix in the system's
+    ``order`` (SuperLU's minimum degree on A^T + A if it has none) with
+    diagonal pivots preferred down to a threshold of 1e-4 (see the module
+    docstring for why the coercive NIPG matrix admits them).  Iterative
+    refinement against the unscaled system stops at the residual target
     ``min(rel_tol, 1e-12)``, after three steps, or once a step fails to
     halve the residual; the residual of the last step is the reported one.
 
@@ -132,37 +171,41 @@ def solve(system, config=None):
             f"rhs has shape {rhs.shape}, expected ({rows},)")
     if not np.all(np.isfinite(matrix.data)) or not np.all(np.isfinite(rhs)):
         raise ValueError("system contains non-finite entries")
+    # the ILU path keeps the dof order
+    order = system.order if config.method == "direct" else None
+    if order is not None and not np.array_equal(np.sort(order),
+                                                np.arange(rows)):
+        raise ValueError("order must be a permutation of the unknowns")
 
     start = time.perf_counter()
-    scaled, scaled_rhs, row_scale = _equilibrate(matrix, rhs)
+    scaled, scaled_rhs, row_scale = _equilibrate(matrix, rhs, order)
     condition = None
     lu_fill = None
     message = ""
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_scale = np.linalg.norm(rhs) or 1.0
 
     if config.method == "direct":
-        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4,
-                  options={"SymmetricMode": True})
-        lu_fill = lu.nnz
-        x = lu.solve(scaled_rhs)
+        lu_solve, lu_fill = _factor(scaled, order)
+        x = lu_solve(scaled_rhs)
         iterations = 0
         # iterative refinement against the unscaled system recovers the
         # digits lost to pivot growth in ill-scaled factors; a step that
         # does not halve the residual shows it has reached its floor
-        target = min(config.rel_tol, 1e-12) * (rhs_norm if rhs_norm else 1.0)
+        target = min(config.rel_tol, 1e-12) * rhs_scale
         r = rhs - matrix @ x
         r_norm = np.linalg.norm(r)
         for _ in range(3):
             if r_norm <= target:
                 break
-            x = x + lu.solve(row_scale * r)
+            x = x + lu_solve(row_scale * r)
             r = rhs - matrix @ x
             r_norm, previous = np.linalg.norm(r), r_norm
             if r_norm > 0.5 * previous:
                 break
         if config.estimate_condition:
-            inv = LinearOperator(scaled.shape, matvec=lu.solve,
-                                 rmatvec=lambda b: lu.solve(b, trans="T"))
+            # 1-norms are invariant under the symmetric permutation
+            inv = LinearOperator(scaled.shape, matvec=lu_solve,
+                                 rmatvec=lambda b: lu_solve(b, trans="T"))
             condition = float(onenormest(scaled) * onenormest(inv))
     else:
         try:
@@ -177,12 +220,19 @@ def solve(system, config=None):
                         M=precond, callback=counter,
                         callback_type="pr_norm")
         iterations = counter.count
-        if info > 0 and not message:
-            message = f"GMRES stopped after {iterations} iterations"
         r_norm = np.linalg.norm(rhs - matrix @ x)
+        if not message and info > 0:
+            message = f"GMRES stopped after {iterations} iterations"
+        elif not message and r_norm / rhs_scale > config.rel_tol:
+            # GMRES tests the equilibrated, preconditioned residual; the
+            # verdict uses the unscaled one
+            message = (f"GMRES met its stopping test on the equilibrated "
+                       f"system, but the unscaled residual "
+                       f"{r_norm / rhs_scale:.3e} misses rel_tol "
+                       f"{config.rel_tol:.3e}")
 
     wall = time.perf_counter() - start
-    residual = float(r_norm / (rhs_norm if rhs_norm > 0 else 1.0))
+    residual = float(r_norm / rhs_scale)
     report = SolveReport(
         method=config.method,
         iterations=iterations,

@@ -17,7 +17,6 @@ than be tuned to match.  See the repository notes for the full analysis.
 """
 
 import numpy as np
-import pytest
 
 from nipg2d import classify_edges
 from nipg2d.analysis import (

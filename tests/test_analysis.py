@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nipg2d import DGFunction, DofMap, classify_edges, convergence_rates
+from nipg2d import convergence_rates
 from nipg2d.analysis import (
     broken_l2_error,
     energy_norm,

@@ -25,6 +25,7 @@ from nipg2d import (
 import nipg2d
 from nipg2d.analysis import interpolate_vee_global
 from nipg2d.felib import lobatto_nodes
+from nipg2d.mesh import element_order
 
 from helpers import make_case, make_mesh, random_dg_coefficients
 from oracles import dg_eval, edge_segment, inflow_outflow_split, trace_pair
@@ -362,6 +363,22 @@ class TestSparsityAndMetadata:
                     cols = lil.rows[row]
                     assert len(cols) <= 5 * ndl
                     assert set(cols) <= allowed
+
+    @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
+    def test_no_zeros_are_stored(self, dirichlet):
+        # Lobatto-nodal traces vanish off the shared side, so parts of
+        # every neighbour block are exact zeros
+        case = make_case(k=3, n=8, eps=1e-3, dirichlet=dirichlet)
+        matrix = case.system.matrix
+        assert matrix.has_canonical_format
+        assert np.all(matrix.data != 0.0)
+
+    def test_order_eliminates_elements_whole(self):
+        case = make_case(k=2, n=8, eps=1e-3)
+        ndl = case.dofmap.ndof_local
+        blocks = case.system.order.reshape(-1, ndl)
+        np.testing.assert_array_equal(blocks[:, 0] // ndl, element_order(8))
+        np.testing.assert_array_equal(blocks, blocks[:, :1] + np.arange(ndl))
 
     @pytest.mark.parametrize("k,n", [(2, 16), (1, 32)])
     def test_peak_memory_is_a_few_csr_copies(self, k, n):

@@ -1,13 +1,18 @@
 """Tests for the sparse linear solver wrapper."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse import random as sparse_random
 
-from nipg2d import SolverConfig, SparseSystem, solve
+from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
+                    boundary_layer_problem, classify_edges, solve,
+                    supercloseness_error)
 
-from helpers import make_case
+from helpers import make_case, make_mesh
 
 
 def diagonal_system(n=50):
@@ -87,6 +92,70 @@ class TestDirect:
         assert iterative.lu_fill is None
 
 
+def unordered(system):
+    """The same system without its elimination order."""
+    return dataclasses.replace(system, order=None)
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_errors_do_not_depend_on_the_order(self, k, n, dirichlet):
+        case = make_case(k=k, n=n, eps=1e-4, dirichlet=dirichlet)
+        records = []
+        for system in (case.system, unordered(case.system)):
+            x, report = solve(system)
+            assert report.converged
+            records.append(supercloseness_error(
+                DGFunction(case.mesh, case.dofmap, x), case.edges,
+                case.problem, case.eps))
+        ordered, plain = records
+        for name in ("e_in", "e_pi", "e_l2"):
+            assert getattr(ordered, name) == pytest.approx(
+                getattr(plain, name), rel=1e-12, abs=0.0), name
+
+    def test_element_order_reduces_fill(self):
+        case = make_case(k=1, n=32, eps=1e-5)
+        _, ordered = solve(case.system)
+        _, plain = solve(unordered(case.system))
+        assert ordered.lu_fill < plain.lu_fill
+
+    def test_order_must_be_a_permutation(self):
+        system, _ = diagonal_system(n=4)
+        for order in (np.array([0, 1, 2]), np.array([0, 1, 1, 3])):
+            with pytest.raises(ValueError, match="permutation"):
+                solve(dataclasses.replace(system, order=order))
+
+    def test_iterative_path_ignores_the_order(self):
+        case = make_case(k=1, n=8, eps=1e-3)
+        cfg = SolverConfig(method="iterative", rel_tol=1e-10)
+        x1, r1 = solve(case.system, cfg)
+        x2, r2 = solve(unordered(case.system), cfg)
+        np.testing.assert_array_equal(x1, x2)
+        assert r1.iterations == r2.iterations
+
+    def test_solves_leave_no_reference_cycles(self):
+        # an LU kept alive by a reference cycle would stay in memory until
+        # the cycle collector runs
+        eps = 1e-4
+        grid = make_mesh(8, eps, 2.5)
+        edges = classify_edges(grid)
+        problem = boundary_layer_problem(eps)
+        configs = (SolverConfig(), SolverConfig(estimate_condition=True),
+                   SolverConfig(method="iterative"))
+        gc.collect()
+        gc.disable()
+        try:
+            system = assemble(grid, edges, DofMap(k=1, n=8), problem, eps)
+            for config in configs:
+                solve(system, config)
+            solve(unordered(system))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestIterative:
     def test_matches_direct_solution(self):
         case = make_case(k=1, n=16, eps=1e-4)
@@ -115,6 +184,25 @@ class TestIterative:
         assert not report.converged
         assert np.all(np.isfinite(x))
         assert report.residual > 1e-14
+
+
+    def test_degraded_solve_says_why(self):
+        # GMRES meets its own test on the equilibrated, preconditioned
+        # system while the unscaled residual misses rel_tol
+        case = make_case(k=1, n=16, eps=1e-8, dirichlet="strong")
+        cfg = SolverConfig(method="iterative")
+        _, report = solve(case.system, cfg)
+        assert not report.converged
+        assert report.iterations < cfg.max_iters
+        assert "unscaled residual" in report.message
+        assert f"{report.residual:.3e}" in report.message
+        assert f"{cfg.rel_tol:.3e}" in report.message
+
+    def test_converged_solve_has_no_message(self):
+        case = make_case(k=1, n=16, eps=1e-4)
+        _, report = solve(case.system, SolverConfig(method="iterative"))
+        assert report.converged
+        assert report.message == ""
 
 
 class TestValidation:
