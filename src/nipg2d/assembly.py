@@ -25,9 +25,10 @@ contiguous block E*(k+1)^2 + m, where m is the local nodal index of
 :mod:`nipg2d.felib`.
 """
 
-import numpy as np
 from dataclasses import dataclass
+from functools import lru_cache
 
+import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix, diags
 
 from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
@@ -96,8 +97,10 @@ class SparseSystem:
     ``order``, when set, is the dof elimination order for the direct
     solver: a permutation of the dofs, listed in the order they are
     eliminated.  :func:`assemble` sets the element minimum-degree order
-    of :func:`~nipg2d.mesh.element_order`, with the (k+1)^2 dofs of each
-    element kept together; ``None`` leaves the choice to the solver.
+    of :func:`~nipg2d.mesh.element_order` at k = 1, with the (k+1)^2 dofs
+    of each element kept together, and the face-node nested-dissection
+    order of :func:`dissection_order` at k >= 2; ``None`` leaves the
+    choice to the solver.
     """
 
     matrix: csr_matrix
@@ -264,8 +267,10 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     -------
     SparseSystem
         The matrix is canonical CSR with int32 indices and no stored
-        zeros; ``order`` eliminates the mesh elements in minimum-degree
-        order, each element's dofs together.
+        zeros.  ``order`` eliminates the mesh elements in minimum-degree
+        order, each element's dofs together, at k = 1, and follows
+        :func:`dissection_order` at k >= 2, whose LU is smaller there
+        (3.2M against 5.5M entries at k = 3, N = 32).
     """
     n = mesh.config.n
     k = dofmap.k
@@ -343,11 +348,67 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
     # shared side, where the Lobatto-nodal traces vanish
     matrix.eliminate_zeros()
 
-    order = (element_order(n)[:, None] * ndl + np.arange(ndl)).ravel()
+    if k == 1:
+        order = (element_order(n)[:, None] * ndl + np.arange(ndl)).ravel()
+    else:
+        order = dissection_order(n, k)
     system = SparseSystem(matrix, rhs, order)
     if dirichlet == "strong":
         _eliminate_boundary_dofs(system, mesh, dofmap)
     return system
+
+
+@lru_cache(maxsize=None)
+def dissection_order(n, k):
+    """Face-node nested-dissection order of the dofs of an N x N mesh.
+
+    The element grid is bisected along its longer side (x on a tie), and
+    each half again, down to leaves of at most 2 elements.  A cut's
+    separator is the face-node dofs on both sides of the cut line: local
+    node a == k of the elements before it and a == 0 of those after it
+    (b for a cut in y), less the dofs an outer separator already holds.
+    Neighbour blocks of the NIPG matrix vanish unless one of the two nodes
+    lies on the shared face, so a separator disconnects the two halves.
+    The order is [first half, second half, separator] at every level,
+    and the dofs of one separator or leaf stay in natural order (A.
+    George, "Nested dissection of a regular finite element mesh", SIAM J.
+    Numer. Anal. 10, 1973).  The returned array is read-only; it is cached
+    per (N, k).
+    """
+    m = k + 1
+    i, j = np.divmod(np.arange(n * n), n)
+    a, b = np.divmod(np.arange(m * m), m)
+    # the box [x0, x1) x [y0, y1) holding each element at the current level
+    x0, x1 = np.zeros_like(i), np.full_like(i, n)
+    y0, y1 = np.zeros_like(j), np.full_like(j, n)
+    # a dof sorts by the tree path of the box whose separator or leaf holds
+    # it, one base-3 digit per level (0 first half, 1 second half), padded
+    # with 2s from that box's level on: so after both halves of its box
+    depth = 2 * (n - 1).bit_length() + 1
+    path = np.zeros(n * n, dtype=np.int64)
+    key = np.full((n * n, m * m), -1, dtype=np.int64)
+    for level in range(depth):
+        w, h = x1 - x0, y1 - y0
+        in_x = w >= h
+        mid = np.where(in_x, x0 + w // 2, y0 + h // 2)
+        at = np.where(in_x, i, j)
+        local = np.where(in_x[:, None], a, b)
+        on_cut = (((at == mid - 1)[:, None] & (local == k))
+                  | ((at == mid)[:, None] & (local == 0)))
+        take = (key < 0) & (on_cut | (w * h <= 2)[:, None])
+        key[take] = np.broadcast_to(
+            path[:, None] + (3 ** (depth - level) - 1), key.shape)[take]
+        if (key >= 0).all():
+            break
+        second = at >= mid
+        path += second * 3 ** (depth - level - 1)
+        x0 = np.where(in_x & second, mid, x0)
+        x1 = np.where(in_x & ~second, mid, x1)
+        y0 = np.where(~in_x & second, mid, y0)
+        y1 = np.where(~in_x & ~second, mid, y1)
+    order = np.argsort(key.ravel(), kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 def boundary_dofs(mesh, dofmap):

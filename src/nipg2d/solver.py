@@ -8,12 +8,13 @@ diffusion parameters.
 The direct path factors the equilibrated matrix with SuperLU in its
 symmetric-pattern mode: one ordering applied to rows and columns alike,
 with diagonal pivots preferred (threshold 1e-4).  The ordering is the
-system's own ``order`` when it has one; :func:`~nipg2d.assembly.assemble`
-sets the minimum-degree order of the element graph, which keeps each
-element's dofs together.  At k = 1 and 2 that leaves a smaller LU than
-minimum degree on the dof graph (10.3M against 13.5M entries at k = 1,
-N = 128), at k = 3 a larger one (5.5M against 3.9M at N = 32).  Without
-an order, SuperLU's minimum degree on the pattern of A^T + A is used.
+system's own ``order`` when it has one.  :func:`~nipg2d.assembly.assemble`
+sets the minimum-degree order of the element graph at k = 1, which keeps
+each element's dofs together, and face-node nested dissection at k >= 2.
+Each leaves a smaller LU than minimum degree on the dof graph: 10.3M
+against 13.5M entries at k = 1, N = 128, and 3.2M against 3.9M at k = 3,
+N = 32, where the element order would give 5.5M.  Without an order,
+SuperLU's minimum degree on the pattern of A^T + A is used.
 
 Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
@@ -23,19 +24,30 @@ matrix has an LU without off-diagonal pivots.  Row scaling keeps that LU
 and strong Dirichlet rows only add identity rows and zero columns.  The
 threshold is not 0: SuperLU then accepts any nonzero diagonal, however
 tiny, and a general matrix that needs off-diagonal pivots loses accuracy.
-Iterative refinement then stops at the target residual, after three
-steps, or as soon as a step fails to halve the residual.
 
-The reported residual is always measured on the original, unscaled system.
-A run whose residual misses the requested tolerance is reported as not
-converged but never raises: callers decide how to treat degraded solves.
+Iterative refinement computes the residual b - A x of the unscaled system
+in ``np.longdouble`` and takes the correction from the same double LU
+(Demmel, Hida, Kahan, Li, Mukherjee and Riedy, "Error bounds from
+extra-precise iterative refinement", ACM TOMS 32, 2006).  The forward
+error of x then falls from about cond(A) times the double unit roundoff
+to about the unit roundoff plus cond(A) times that of ``longdouble``
+(5.4e-20 for the 80-bit format of x86-64 Linux), so the solution, and
+the errors computed from it, no longer depend on the ordering: two
+orderings of a k <= 3, N = 8 system give solutions 1e-17 to 1e-16 apart
+instead of 5e-15 to 2e-14.  Where ``longdouble`` is plain double the
+residual is a double one, and the double floor applies.
+
+The reported residual is always the double-precision one on the original,
+unscaled system.  A run whose residual misses the requested tolerance is
+reported as not converged but never raises: callers decide how to treat
+degraded solves.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import (LinearOperator, gmres, onenormest, spilu,
                                  splu)
 
@@ -100,21 +112,51 @@ class SolveReport:
     lu_fill: int | None = None
 
 
-def _equilibrate(matrix, rhs, order=None):
-    """Scale rows by their largest absolute entry.
+def _equilibrate(matrix, order=None):
+    """Scale the rows of a CSR matrix by their largest absolute entry.
 
     Returns the scaled matrix DA as CSC, or P (DA) P^T (row and column
-    ``order[i]`` of DA moved to position i) when an ``order`` is given, so
-    that only the copy to be factored is kept; and Db and the diagonal of D.
+    ``order[i]`` of DA moved to position i) when an ``order`` is given,
+    and the diagonal of D.  Only the rows are gathered into a new CSR
+    copy; their column indices are relabelled in it, and one CSR-to-CSC
+    pass sorts the entries into columns.
     """
-    row_max = np.abs(matrix).max(axis=1).toarray().ravel()
+    indptr, counts = matrix.indptr, np.diff(matrix.indptr)
+    row_max = np.zeros(matrix.shape[0])
+    stored = counts > 0
+    row_max[stored] = np.maximum.reduceat(np.abs(matrix.data),
+                                          indptr[:-1][stored])
     row_max[row_max == 0.0] = 1.0
     scale = 1.0 / row_max
-    d = diags(scale)
-    scaled = d @ matrix
+    scaled = csr_matrix((matrix.data * np.repeat(scale, counts),
+                         matrix.indices, indptr), shape=matrix.shape)
     if order is not None:
-        scaled = scaled[order][:, order]
-    return scaled.tocsc(), d @ rhs, scale
+        position = np.empty_like(matrix.indices, shape=order.size)
+        position[order] = np.arange(order.size)
+        scaled = scaled[order]
+        scaled.indices = position[scaled.indices]
+    return scaled.tocsc(), scale
+
+
+def _residual(matrix, rhs, x, rows=4096):
+    """b - A x for a CSR matrix, accumulated in ``np.longdouble`` and
+    rounded to double.
+
+    The rows go ``rows`` at a time, so the extended copy of the matrix
+    values never holds more than one chunk.
+    """
+    x = x.astype(np.longdouble)
+    r = np.empty_like(rhs)
+    indptr = matrix.indptr
+    for lo in range(0, matrix.shape[0], rows):
+        hi = min(lo + rows, matrix.shape[0])
+        start, stop = indptr[lo], indptr[hi]
+        chunk = csr_matrix((matrix.data[start:stop].astype(np.longdouble),
+                            matrix.indices[start:stop],
+                            indptr[lo:hi + 1] - start),
+                           shape=(hi - lo, matrix.shape[1]))
+        r[lo:hi] = rhs[lo:hi] - chunk @ x
+    return r
 
 
 def _factor(scaled, order):
@@ -148,9 +190,12 @@ def solve(system, config=None):
     ``order`` (SuperLU's minimum degree on A^T + A if it has none) with
     diagonal pivots preferred down to a threshold of 1e-4 (see the module
     docstring for why the coercive NIPG matrix admits them).  Iterative
-    refinement against the unscaled system stops at the residual target
-    ``min(rel_tol, 1e-12)``, after three steps, or once a step fails to
-    halve the residual; the residual of the last step is the reported one.
+    refinement with extended-precision residuals of the unscaled system
+    stops when the extrapolated next correction |dx|^2 / |dx_prev| drops
+    below the unit roundoff times |x|, when a step fails to halve the
+    correction, or after four steps; a well-conditioned system takes one.
+    The reported residual is the double-precision relative residual of
+    the refined x.
 
     Parameters
     ----------
@@ -162,7 +207,8 @@ def solve(system, config=None):
     (x, report) : (ndarray, SolveReport)
     """
     config = config or SolverConfig()
-    matrix, rhs = system.matrix, np.asarray(system.rhs, dtype=float)
+    matrix = system.matrix.tocsr()
+    rhs = np.asarray(system.rhs, dtype=float)
     rows, cols = matrix.shape
     if rows != cols:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
@@ -178,7 +224,8 @@ def solve(system, config=None):
         raise ValueError("order must be a permutation of the unknowns")
 
     start = time.perf_counter()
-    scaled, scaled_rhs, row_scale = _equilibrate(matrix, rhs, order)
+    scaled, row_scale = _equilibrate(matrix, order)
+    scaled_rhs = row_scale * rhs
     condition = None
     lu_fill = None
     message = ""
@@ -186,27 +233,30 @@ def solve(system, config=None):
 
     if config.method == "direct":
         lu_solve, lu_fill = _factor(scaled, order)
-        x = lu_solve(scaled_rhs)
-        iterations = 0
-        # iterative refinement against the unscaled system recovers the
-        # digits lost to pivot growth in ill-scaled factors; a step that
-        # does not halve the residual shows it has reached its floor
-        target = min(config.rel_tol, 1e-12) * rhs_scale
-        r = rhs - matrix @ x
-        r_norm = np.linalg.norm(r)
-        for _ in range(3):
-            if r_norm <= target:
-                break
-            x = x + lu_solve(row_scale * r)
-            r = rhs - matrix @ x
-            r_norm, previous = np.linalg.norm(r), r_norm
-            if r_norm > 0.5 * previous:
-                break
         if config.estimate_condition:
             # 1-norms are invariant under the symmetric permutation
-            inv = LinearOperator(scaled.shape, matvec=lu_solve,
+            scaled_norm = onenormest(scaled)
+        del scaled                  # not needed while refining
+        iterations = 0
+        x = lu_solve(scaled_rhs)
+        # refinement with extended-precision residuals: each correction
+        # shrinks by about the LU's contraction factor, so the next one is
+        # about |dx|^2 / |dx_prev|; stop once that is below the unit
+        # roundoff of x, or when a step fails to halve the correction
+        unit = 0.5 * np.finfo(float).eps
+        dx_norm = np.linalg.norm(x)
+        for _ in range(4):
+            dx = lu_solve(row_scale * _residual(matrix, rhs, x))
+            x = x + dx
+            dx_norm, previous = np.linalg.norm(dx), dx_norm
+            if (dx_norm ** 2 <= unit * np.linalg.norm(x) * previous
+                    or dx_norm > 0.5 * previous):
+                break
+        r_norm = np.linalg.norm(rhs - matrix @ x)
+        if config.estimate_condition:
+            inv = LinearOperator(matrix.shape, matvec=lu_solve,
                                  rmatvec=lambda b: lu_solve(b, trans="T"))
-            condition = float(onenormest(scaled) * onenormest(inv))
+            condition = float(scaled_norm * onenormest(inv))
     else:
         try:
             ilu = spilu(scaled, drop_tol=1e-5, fill_factor=20)

@@ -99,6 +99,17 @@ class TestCompositeInterpolant:
                     assert same
         assert differs  # the projection does change the coarse region
 
+    def test_given_vee_interpolant_gives_identical_coefficients(self):
+        case = make_case(k=2, n=8, eps=1e-3)
+        u = case.problem.exact
+        vee = interpolate_vee_global(u, case.mesh, case.dofmap)
+        given = interpolate_composite(u, case.mesh, case.dofmap, vee=vee)
+        own = interpolate_composite(u, case.mesh, case.dofmap)
+        np.testing.assert_array_equal(given.coefficients, own.coefficients)
+        np.testing.assert_array_equal(
+            vee.coefficients,
+            interpolate_vee_global(u, case.mesh, case.dofmap).coefficients)
+
     def test_projection_moments_vanish_on_coarse_region(self):
         # On each coarse-coarse element, u - (composite u) is orthogonal
         # to Q_k under the projector's own quadrature.

@@ -374,11 +374,35 @@ class TestSparsityAndMetadata:
         assert np.all(matrix.data != 0.0)
 
     def test_order_eliminates_elements_whole(self):
-        case = make_case(k=2, n=8, eps=1e-3)
+        # at k = 1 only; higher degrees use face-node dissection
+        case = make_case(k=1, n=8, eps=1e-3)
         ndl = case.dofmap.ndof_local
         blocks = case.system.order.reshape(-1, ndl)
         np.testing.assert_array_equal(blocks[:, 0] // ndl, element_order(8))
         np.testing.assert_array_equal(blocks, blocks[:, :1] + np.arange(ndl))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dissection_order_separates_the_halves(self, k):
+        # the top cut of the 8 x 8 grid runs between element columns 3
+        # and 4; its separator is the a == k nodes of column 3 and the
+        # a == 0 nodes of column 4, eliminated last
+        case = make_case(k=k, n=8, eps=1e-3)
+        order = case.system.order
+        assert not order.flags.writeable
+        np.testing.assert_array_equal(np.sort(order),
+                                      np.arange(case.dofmap.total_dofs))
+        i, _, a, _ = np.unravel_index(np.arange(order.size),
+                                      (8, 8, k + 1, k + 1))
+        separator = ((i == 3) & (a == k)) | ((i == 4) & (a == 0))
+        first = np.flatnonzero((i < 4) & ~separator)
+        second = np.flatnonzero((i >= 4) & ~separator)
+        parts = np.split(order, [first.size, first.size + second.size])
+        for part, dofs in zip(parts, (first, second,
+                                      np.flatnonzero(separator))):
+            np.testing.assert_array_equal(np.sort(part), dofs)
+        matrix = case.system.matrix
+        assert matrix[first][:, second].nnz == 0
+        assert matrix[second][:, first].nnz == 0
 
     @pytest.mark.parametrize("k,n", [(2, 16), (1, 32)])
     def test_peak_memory_is_a_few_csr_copies(self, k, n):

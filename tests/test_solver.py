@@ -11,6 +11,7 @@ from scipy.sparse import random as sparse_random
 from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
                     boundary_layer_problem, classify_edges, solve,
                     supercloseness_error)
+from nipg2d.mesh import element_order
 
 from helpers import make_case, make_mesh
 
@@ -120,6 +121,26 @@ class TestOrdering:
         _, ordered = solve(case.system)
         _, plain = solve(unordered(case.system))
         assert ordered.lu_fill < plain.lu_fill
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_solutions_do_not_depend_on_the_order(self, k):
+        # refinement with extended-precision residuals takes the solution
+        # to double precision whatever the LU (1e-17 to 1e-16 apart here);
+        # refinement with double residuals leaves 5e-15 to 2e-14
+        case = make_case(k=k, n=8, eps=1e-4)
+        x_ordered, _ = solve(case.system)
+        x_plain, _ = solve(unordered(case.system))
+        assert (np.linalg.norm(x_ordered - x_plain)
+                <= 1e-15 * np.linalg.norm(x_plain))
+
+    def test_dissection_order_reduces_fill_at_k3(self):
+        case = make_case(k=3, n=16, eps=1e-5)
+        ndl = case.dofmap.ndof_local
+        blocks = (element_order(16)[:, None] * ndl + np.arange(ndl)).ravel()
+        _, dissection = solve(case.system)
+        _, element_blocks = solve(dataclasses.replace(case.system,
+                                                      order=blocks))
+        assert dissection.lu_fill < element_blocks.lu_fill
 
     def test_order_must_be_a_permutation(self):
         system, _ = diagonal_system(n=4)
