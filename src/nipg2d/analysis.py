@@ -52,18 +52,16 @@ def interpolate_vee_global(u, mesh, dofmap):
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 
-def interpolate_composite(u, mesh, dofmap, vee=None):
+def interpolate_composite(u, vee):
     """Composite interpolant: local L2 projection on the coarse-coarse
     region, vertices-edges-element interpolant elsewhere.
 
-    Coefficients coincide exactly with :func:`interpolate_vee_global`
-    on every element outside the coarse-coarse region; the projection
-    also uses the (k + 2)-point Gauss rule.  ``vee``, the result of
-    :func:`interpolate_vee_global` for the same arguments, saves
-    computing it again.
+    ``vee`` is :func:`interpolate_vee_global` of the same ``u``; it gives
+    the mesh, the dofmap and the coefficients kept outside the
+    coarse-coarse region.  The projection also uses the (k + 2)-point
+    Gauss rule.
     """
-    if vee is None:
-        vee = interpolate_vee_global(u, mesh, dofmap)
+    mesh, dofmap = vee.mesh, vee.dofmap
     points, matrix = l2_projector(dofmap.k, dofmap.k + 2)
     n = mesh.config.n
     coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
@@ -200,7 +198,7 @@ def supercloseness_error(u_h, edges, problem, eps):
     mesh, dofmap = u_h.mesh, u_h.dofmap
     u = problem.exact
     vee = interpolate_vee_global(u, mesh, dofmap)
-    comp = interpolate_composite(u, mesh, dofmap, vee=vee)
+    comp = interpolate_composite(u, vee)
     diff_in = DGFunction(mesh, dofmap, vee.coefficients - u_h.coefficients)
     diff_pi = DGFunction(mesh, dofmap, comp.coefficients - u_h.coefficients)
     parts_in = energy_norm(diff_in, edges, problem, eps)

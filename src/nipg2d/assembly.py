@@ -244,21 +244,21 @@ def _check_coefficients(problem, x, y, b1, b2, c, beta1, beta2):
             f"{c0sq.min():.6g}")
 
 
-def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
-             dirichlet="weak"):
-    """Assemble the NIPG matrix and load vector.
+def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
+    """Assemble the NIPG matrix and load vector with the (k + 2)-point
+    Gauss rule per direction.
 
     Parameters
     ----------
     mesh : ShishkinMesh
     edges : EdgeSet
-        Output of :func:`nipg2d.mesh.classify_edges` (any numbering).
+        Output of :func:`nipg2d.mesh.classify_edges`; swapping plus and
+        minus on interior edges, and flipping their normals, gives the
+        same system.
     dofmap : DofMap
     problem : ProblemData
     eps : float
         Diffusion parameter.
-    quad_order : int, optional
-        Gauss points per direction; default k + 2, minimum k + 1.
     dirichlet : {"weak", "strong"}
         Weak (default) keeps the boundary-edge terms; strong additionally
         eliminates boundary-node dofs to zero afterwards.
@@ -278,11 +278,8 @@ def assemble(mesh, edges, dofmap, problem, eps, quad_order=None,
         raise ValueError(f"dofmap is for N={dofmap.n}, mesh has N={n}")
     if dirichlet not in ("weak", "strong"):
         raise ValueError(f"unknown Dirichlet mode: {dirichlet!r}")
-    nq = (k + 2) if quad_order is None else int(quad_order)
-    if nq < k + 1:
-        raise ValueError(
-            f"quadrature order {nq} too low for degree {k}; need >= {k + 1}")
 
+    nq = k + 2
     tab = reference_tables(k, nq)
     ndl = dofmap.ndof_local
     ne = n * n

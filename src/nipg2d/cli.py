@@ -3,8 +3,8 @@
 ``nipg2d study --config study.cfg [overrides]`` sweeps (k, eps, N) triples,
 solves each discrete problem, measures the interpolant-distance errors and
 their observed orders, and writes a CSV table plus a per-degree markdown
-table.  Exit code 0 means every solve met its tolerance; 2 flags degraded
-rows (the sweep still completes).
+table.  Exit code 0 means every solve met its tolerance, 1 a usage or
+configuration error, and 2 degraded rows (the sweep still completes).
 
 Config files are flat ``key = value`` lines ('#' starts a comment); list
 values are comma separated.  The recognized keys follow; all are optional
@@ -24,7 +24,6 @@ except k and eps, each may be set once, and any other key is an error::
                                  (direct solver only; costly; for the
                                  large-N/small-eps cells where the rate
                                  tables visibly degrade)
-    quad_order = 4      assembly quadrature (default k + 2, at least k + 1)
     dirichlet = weak    or: strong
     out_csv = study.csv
     out_md = study.md
@@ -63,7 +62,6 @@ class StudyConfig:
     beta1: float = problems.BETA1
     beta2: float = problems.BETA2
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
-    quad_order: int | None = None      # None: k + 2 per degree
     dirichlet: str = "weak"
     out_csv: str | None = None
     out_md: str | None = None
@@ -89,10 +87,6 @@ class StudyConfig:
         for k in self.k_list:
             if k < 1:
                 raise ValueError(f"polynomial degree must be >= 1, got {k}")
-            if self.quad_order is not None and self.quad_order < k + 1:
-                raise ValueError(
-                    f"quad_order={self.quad_order} is below k + 1 = {k + 1} "
-                    f"for k={k}")
             if self.sigma is not None and self.sigma < k + 0.5:
                 raise ValueError(
                     f"sigma={self.sigma} is below k + 1/2 = {k + 0.5} for "
@@ -170,7 +164,6 @@ def run_study(config):
                 edges = mesh.classify_edges(grid)
                 dofmap = assembly.DofMap(k=k, n=n)
                 system = assembly.assemble(grid, edges, dofmap, problem, eps,
-                                           quad_order=config.quad_order,
                                            dirichlet=config.dirichlet)
                 x, report = solver.solve(system, config.solver)
                 u_h = assembly.DGFunction(grid, dofmap, x)
@@ -201,8 +194,7 @@ def run_study(config):
         "beta2": _fmt_value(config.beta2),
         "n": ("per-degree default" if config.n_list is None
               else _fmt_list(config.n_list)),
-        "quad_order": ("k + 2" if config.quad_order is None
-                       else str(config.quad_order)),
+        "quad_order": "k + 2",
         "penalty_schedule": "M1:1 M2:N^2 M3:N M4:N",
         "boundary_edge_rule": "same-as-interior",
         "dirichlet": config.dirichlet,
@@ -383,7 +375,6 @@ CONFIG_KEYS = {
     "max_iters": ("solver.max_iters", int),
     "restart": ("solver.restart", int),
     "estimate_condition": ("solver.estimate_condition", _bool),
-    "quad_order": ("quad_order", int),
     "dirichlet": ("dirichlet", str),
     "out_csv": ("out_csv", str),
     "out_md": ("out_md", str),
@@ -415,9 +406,18 @@ def build_config(file_values, args):
     return StudyConfig(solver=solver.SolverConfig(**solver_kw), **study_kw)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other configuration error does; 2 is
+    the degraded-solve code.  The subcommand parsers share this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
     """Entry point of the ``nipg2d`` command."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nipg2d",
         description="DG convergence studies for layered convection-"
                     "diffusion problems on two-band meshes")
@@ -428,10 +428,8 @@ def main(argv=None):
     study.add_argument("--k", help="degrees, comma separated (override)")
     study.add_argument("--eps", help="diffusion parameters (override)")
     study.add_argument("--n", help="mesh sizes, doubling (override)")
-    study.add_argument("--solver", choices=["direct", "iterative"],
-                       help="linear solver (override)")
-    study.add_argument("--quad-order", dest="quad_order",
-                       help="assembly quadrature points per direction")
+    study.add_argument("--solver",
+                       help="linear solver, direct or iterative (override)")
     study.add_argument("--out-csv", dest="out_csv",
                        help="write the CSV table here")
     study.add_argument("--out-md", dest="out_md",

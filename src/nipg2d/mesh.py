@@ -241,18 +241,17 @@ class EdgeSet:
         return self.line.size
 
 
-def classify_edges(mesh, numbering="standard"):
+def classify_edges(mesh):
     """Enumerate all mesh edges with families, penalties and trace sides.
+
+    The higher-numbered adjacent element is the plus side of every
+    interior edge (normals (-1, 0) and (0, -1)); a boundary edge's one
+    element is its plus side, with the outward normal.  Assembly and the
+    norms do not depend on this choice of sides.
 
     Parameters
     ----------
     mesh : ShishkinMesh
-    numbering : {"standard", "reversed"}
-        "standard" makes the higher-numbered adjacent element the plus
-        side of every interior edge (normals (-1, 0) and (0, -1));
-        "reversed" swaps plus/minus and flips the interior normals.  The
-        assembled scheme is invariant under this choice; the option exists
-        to let tests check that.
 
     Returns
     -------
@@ -260,8 +259,6 @@ def classify_edges(mesh, numbering="standard"):
         Deterministic order: horizontal edges sorted by (line, cell), then
         vertical edges sorted by (line, cell).
     """
-    if numbering not in ("standard", "reversed"):
-        raise ValueError(f"unknown numbering convention: {numbering!r}")
     n = mesh.config.n
     half = n // 2
     line = np.repeat(np.arange(n + 1), n)
@@ -276,16 +273,16 @@ def classify_edges(mesh, numbering="standard"):
                                         EdgeType.M2)))
     rho = np.array([penalty_weight(t, n) for t in EdgeType])[family - 1]
 
-    # adjacent elements: "hi" above / right of the line, "lo" below / left
-    plus_lo = (line == n) | ((numbering == "reversed") & (line > 0))
-    boundary = (line == 0) | (line == n)
+    # adjacent elements: "hi" above / right of the line, "lo" below / left;
+    # the last line has only "lo"
+    last = line == n
+    boundary = (line == 0) | last
     plus, minus = [], []
     for hi, lo in ((cell * n + line, cell * n + line - 1),       # horizontal
                    (line * n + cell, (line - 1) * n + cell)):    # vertical
-        plus.append(np.where(plus_lo, lo, hi))
-        minus.append(np.where(boundary, NO_ELEMENT,
-                              np.where(plus_lo, hi, lo)))
-    normal = np.where(plus_lo, 1.0, -1.0)
+        plus.append(np.where(last, lo, hi))
+        minus.append(np.where(boundary, NO_ELEMENT, lo))
+    normal = np.where(last, 1.0, -1.0)
 
     return EdgeSet(
         orientation=np.repeat(np.array(["h", "v"]), line.size),

@@ -97,9 +97,9 @@ class SolveReport:
 
     ``iterations`` is 0 for the direct path; ``residual`` is the relative
     residual on the unscaled system; ``converged`` states whether it met
-    the configured tolerance.  ``lu_fill`` is the number of stored entries
-    of the sparse LU factors (``L.nnz + U.nnz``) on the direct path and
-    ``None`` on the iterative one.
+    the configured tolerance, and ``message`` says why not.  ``lu_fill`` is
+    the number of stored entries of the sparse LU factors (``L.nnz +
+    U.nnz``) on the direct path and ``None`` on the iterative one.
     """
 
     method: str
@@ -252,7 +252,17 @@ def solve(system, config=None):
             if (dx_norm ** 2 <= unit * np.linalg.norm(x) * previous
                     or dx_norm > 0.5 * previous):
                 break
-        r_norm = np.linalg.norm(rhs - matrix @ x)
+        r = rhs - matrix @ x
+        r_norm = np.linalg.norm(r)
+        if r_norm / rhs_scale > config.rel_tol:
+            # the normwise backward error tells a failed solve from an
+            # ill-conditioned system whose residual cannot get smaller
+            backward = np.abs(r).max() / (
+                abs(matrix).sum(axis=1).max() * np.abs(x).max()
+                + np.abs(rhs).max())
+            message = (f"the relative residual {r_norm / rhs_scale:.3e} "
+                       f"misses rel_tol {config.rel_tol:.3e}; the normwise "
+                       f"backward error is {backward:.3e}")
         if config.estimate_condition:
             inv = LinearOperator(matrix.shape, matvec=lu_solve,
                                  rmatvec=lambda b: lu_solve(b, trans="T"))
@@ -264,12 +274,16 @@ def solve(system, config=None):
         except RuntimeError as exc:  # singular pivot in the incomplete LU
             precond = None
             message = f"ILU preconditioner failed ({exc}); ran unpreconditioned"
-        counter = _IterationCounter()
+        iterations = 0
+
+        def count_iteration(_):
+            nonlocal iterations
+            iterations += 1
+
         x, info = gmres(scaled, scaled_rhs, rtol=config.rel_tol, atol=0.0,
                         restart=config.restart, maxiter=config.max_iters,
-                        M=precond, callback=counter,
+                        M=precond, callback=count_iteration,
                         callback_type="pr_norm")
-        iterations = counter.count
         r_norm = np.linalg.norm(rhs - matrix @ x)
         if not message and info > 0:
             message = f"GMRES stopped after {iterations} iterations"
@@ -294,11 +308,3 @@ def solve(system, config=None):
         lu_fill=lu_fill,
     )
     return x, report
-
-
-class _IterationCounter:
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, _):
-        self.count += 1

@@ -7,9 +7,12 @@ Lagrange basis (:func:`nipg2d.felib.lagrange_1d`) and the Gauss rule are
 shared with the library; :func:`basis_2d` builds the 2D basis from them
 here, and the 1D layer is verified separately against finite differences
 and monomials.
-:func:`dg_eval` and the edge-trace helpers at the end evaluate a library
-DGFunction pointwise.
+:func:`reversed_edges` gives the other trace-side numbering of an edge
+set; :func:`dg_eval` and the edge-trace helpers at the end evaluate a
+library DGFunction pointwise.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -377,6 +380,19 @@ def energy_components_bruteforce(v, problem, eps, nq=10):
                     traces += 0.5 * w[p] * jac1d * abs(bn) * term
     return {"grad": grad, "reaction": reaction, "penalty": penalty,
             "inflow_outflow": traces}
+
+
+def reversed_edges(edges):
+    """The other trace-side numbering of an edge set: plus and minus
+    swapped on every interior edge and its normal flipped, so the plus
+    side is the lower-numbered element.  Boundary edges keep their one
+    element and outward normal."""
+    interior = edges.minus != NO_ELEMENT
+    return dataclasses.replace(
+        edges,
+        plus=np.where(interior, edges.minus, edges.plus),
+        minus=np.where(interior, edges.plus, edges.minus),
+        normal=np.where(interior, -edges.normal, edges.normal))
 
 
 def edge_segment(mesh, edges, idx):

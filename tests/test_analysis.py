@@ -50,10 +50,11 @@ class TestVeeInterpolant:
 
     def test_constant_callable_is_broadcast(self):
         case = make_case(k=2, n=8, eps=1e-2)
-        for interpolate in (interpolate_vee_global, interpolate_composite):
-            v = interpolate(lambda x, y: 3.0, case.mesh, case.dofmap)
+        u = lambda x, y: 3.0
+        vee = interpolate_vee_global(u, case.mesh, case.dofmap)
+        for v in (vee, interpolate_composite(u, vee)):
             np.testing.assert_allclose(v.coefficients, 3.0, rtol=1e-13)
-        assert broken_l2_error(lambda x, y: 3.0, v) < 1e-13
+        assert broken_l2_error(u, v) < 1e-13
 
     def test_interpolant_of_smooth_layer_is_continuous(self):
         # Jumps of the interpolant vanish across interior edges, so the
@@ -75,7 +76,8 @@ class TestCompositeInterpolant:
     def test_reproduces_tensor_polynomials(self, k):
         case = make_case(k=k, n=8, eps=1e-3)
         p = tensor_polynomial(k)
-        v = interpolate_composite(p, case.mesh, case.dofmap)
+        v = interpolate_composite(
+            p, interpolate_vee_global(p, case.mesh, case.dofmap))
         xs = RNG.uniform(0.0, 1.0, 40)
         ys = RNG.uniform(0.0, 1.0, 40)
         np.testing.assert_allclose(oracles.dg_eval(v, xs, ys), p(xs, ys),
@@ -85,7 +87,7 @@ class TestCompositeInterpolant:
         case = make_case(k=2, n=8, eps=1e-3)
         u = case.problem.exact
         vee = interpolate_vee_global(u, case.mesh, case.dofmap)
-        comp = interpolate_composite(u, case.mesh, case.dofmap)
+        comp = interpolate_composite(u, vee)
         vee_blocks = vee.coefficients.reshape(8, 8, -1)
         comp_blocks = comp.coefficients.reshape(8, 8, -1)
         coarse = coarse_elements(case.mesh)
@@ -99,24 +101,14 @@ class TestCompositeInterpolant:
                     assert same
         assert differs  # the projection does change the coarse region
 
-    def test_given_vee_interpolant_gives_identical_coefficients(self):
-        case = make_case(k=2, n=8, eps=1e-3)
-        u = case.problem.exact
-        vee = interpolate_vee_global(u, case.mesh, case.dofmap)
-        given = interpolate_composite(u, case.mesh, case.dofmap, vee=vee)
-        own = interpolate_composite(u, case.mesh, case.dofmap)
-        np.testing.assert_array_equal(given.coefficients, own.coefficients)
-        np.testing.assert_array_equal(
-            vee.coefficients,
-            interpolate_vee_global(u, case.mesh, case.dofmap).coefficients)
-
     def test_projection_moments_vanish_on_coarse_region(self):
         # On each coarse-coarse element, u - (composite u) is orthogonal
         # to Q_k under the projector's own quadrature.
         k = 2
         case = make_case(k=k, n=8, eps=1e-3)
         u = case.problem.exact
-        comp = interpolate_composite(u, case.mesh, case.dofmap)
+        comp = interpolate_composite(
+            u, interpolate_vee_global(u, case.mesh, case.dofmap))
         tab = reference_tables(k, k + 2)
         (xi, eta), w2 = tab.points.T, tab.w2
         coarse = coarse_elements(case.mesh)

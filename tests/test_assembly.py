@@ -28,7 +28,8 @@ from nipg2d.felib import lobatto_nodes
 from nipg2d.mesh import element_order
 
 from helpers import make_case, make_mesh, random_dg_coefficients
-from oracles import dg_eval, edge_segment, inflow_outflow_split, trace_pair
+from oracles import (dg_eval, edge_segment, inflow_outflow_split,
+                     reversed_edges, trace_pair)
 
 RNG = np.random.default_rng(20240915)
 
@@ -189,8 +190,8 @@ class TestMatrixOracle:
         dofmap = DofMap(k=k, n=n)
         problem = boundary_layer_problem(0.05)
         dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem, eps=0.05)
-        for numbering in ("standard", "reversed"):
-            edges = classify_edges(mesh, numbering)
+        standard = classify_edges(mesh)
+        for edges in (standard, reversed_edges(standard)):
             matrix = assemble(mesh, edges, dofmap, problem, eps=0.05).matrix
             assert matrix.has_canonical_format
             assert matrix.indices.dtype == np.int32
@@ -298,8 +299,7 @@ class TestPolynomialConsistency:
 class TestNumberingInvariance:
     def test_reversed_numbering_gives_identical_system(self):
         case = make_case(k=1, n=8, eps=1e-4)
-        reversed_edges = classify_edges(case.mesh, numbering="reversed")
-        other = assemble(case.mesh, reversed_edges, case.dofmap,
+        other = assemble(case.mesh, reversed_edges(case.edges), case.dofmap,
                          case.problem, eps=case.eps)
         diff = (case.system.matrix - other.matrix).tocoo()
         max_entry = np.abs(diff.data).max() if diff.nnz else 0.0
@@ -333,12 +333,6 @@ class TestValidation:
         with pytest.raises(CoefficientConditionError, match="nonnegative"):
             assemble(relaxed, classify_edges(relaxed), self.dofmap,
                      problem, eps=1e-3)
-
-    def test_insufficient_quadrature_is_rejected(self):
-        problem = boundary_layer_problem(1e-3)
-        with pytest.raises(ValueError):
-            assemble(self.mesh, self.edges, self.dofmap, problem,
-                     eps=1e-3, quad_order=1)
 
     def test_unknown_dirichlet_mode_is_rejected(self):
         problem = boundary_layer_problem(1e-3)

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -23,8 +24,8 @@ from nipg2d.solver import SolverConfig
 
 
 def no_args(**overrides):
-    base = dict(k=None, eps=None, n=None, solver=None, quad_order=None,
-                out_csv=None, out_md=None)
+    base = dict(k=None, eps=None, n=None, solver=None, out_csv=None,
+                out_md=None)
     base.update(overrides)
     return SimpleNamespace(**base)
 
@@ -82,8 +83,7 @@ class TestBuildConfig:
             {"k": "1,2", "eps": "1e-2, 1e-3", "n": "8,16", "sigma": "3.5",
              "beta1": "1.5", "beta2": "2.5", "solver": "iterative",
              "rel_tol": "1e-8", "max_iters": "7", "restart": "3",
-             "quad_order": "5", "dirichlet": "strong", "out_csv": "a.csv",
-             "out_md": "a.md"},
+             "dirichlet": "strong", "out_csv": "a.csv", "out_md": "a.md"},
             no_args())
         assert cfg.k_list == (1, 2)
         assert cfg.eps_list == (1e-2, 1e-3)
@@ -93,7 +93,6 @@ class TestBuildConfig:
         assert cfg.solver.method == "iterative"
         assert cfg.solver.rel_tol == 1e-8
         assert (cfg.solver.max_iters, cfg.solver.restart) == (7, 3)
-        assert cfg.quad_order == 5
         assert cfg.dirichlet == "strong"
         assert (cfg.out_csv, cfg.out_md) == ("a.csv", "a.md")
         # condition estimates come from the direct solver only
@@ -267,12 +266,19 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_quadrature_below_k_plus_one_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--bogus"], 1, "error: unrecognized arguments: --bogus"),
+        (["--solver", "foo"], 1, "error: unknown solver method: 'foo'"),
+        (["--help"], 0, ""),
+    ], ids=["unknown-flag", "unknown-solver", "help"])
+    def test_usage_exit_codes(self, tmp_path, capsys, flags, code, message):
+        # exit 2 is left to degraded solves
         out_csv = tmp_path / "t.csv"
-        code = main(["study", "--k", "1", "--eps", "1e-2", "--n", "8",
-                     "--quad-order", "0", "--out-csv", str(out_csv)])
-        assert code == 1
-        assert "quad_order" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(main(["study", "--k", "1", "--eps", "1e-3", "--n", "8",
+                           "--out-csv", str(out_csv), *flags]))
+        assert exc.value.code == code
+        assert message in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("lines,message", [
@@ -282,8 +288,9 @@ class TestMain:
         ("k = 1\nsolver = iterative\nsolver = direct",
          ":5: key 'solver' repeated (first set on line 4)"),
         ("k = 1,,2", "error: k: empty item in list '1,,2'"),
+        ("k = 1\nquad_order = 4", "unknown config key(s) quad_order;"),
     ], ids=["problem", "misspelled", "empty-value", "repeated-key",
-            "empty-item"])
+            "empty-item", "quad-order"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
                                       message):
         cfg = tmp_path / "study.cfg"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,21 @@ class TestDirect:
         x, report = solve(case.system)
         assert report.converged
         assert report.residual <= 1e-12
+        assert report.message == ""
         assert np.all(np.isfinite(x))
+
+    def test_missed_tolerance_says_why(self):
+        case = make_case(k=1, n=8, eps=1e-4)
+        x, report = solve(case.system, SolverConfig(rel_tol=1e-20))
+        assert not report.converged
+        matrix, rhs = case.system.matrix, case.system.rhs
+        backward = (np.abs(rhs - matrix @ x).max()
+                    / (abs(matrix).sum(axis=1).max() * np.abs(x).max()
+                       + np.abs(rhs).max()))
+        assert f"relative residual {report.residual:.3e}" in report.message
+        assert "rel_tol 1.000e-20" in report.message
+        stated = re.search(r"backward error is (\S+)", report.message)[1]
+        assert float(stated) == pytest.approx(backward, rel=1e-3)
 
     def test_repeat_solves_are_bitwise_identical(self):
         case = make_case(k=1, n=8, eps=1e-4)
