@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import bsr_matrix, csr_matrix, diags
+from scipy.sparse import bsr_matrix, csr_matrix, diags, eye, kron
+from scipy.sparse.linalg import spilu
 
 from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
-from .mesh import NO_ELEMENT, element_order
+from .mesh import NO_ELEMENT
 
 
 class CoefficientConditionError(ValueError):
@@ -95,12 +96,9 @@ class SparseSystem:
     """Assembled matrix and load vector.
 
     ``order``, when set, is the dof elimination order for the direct
-    solver: a permutation of the dofs, listed in the order they are
-    eliminated.  :func:`assemble` sets the element minimum-degree order
-    of :func:`~nipg2d.mesh.element_order` at k = 1, with the (k+1)^2 dofs
-    of each element kept together, and the face-node nested-dissection
-    order of :func:`dissection_order` at k >= 2; ``None`` leaves the
-    choice to the solver.
+    solver, the dofs listed in the order they are eliminated;
+    :func:`assemble` sets :func:`elimination_order`, and ``None`` leaves
+    the choice to the solver.
     """
 
     matrix: csr_matrix
@@ -267,10 +265,7 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
     -------
     SparseSystem
         The matrix is canonical CSR with int32 indices and no stored
-        zeros.  ``order`` eliminates the mesh elements in minimum-degree
-        order, each element's dofs together, at k = 1, and follows
-        :func:`dissection_order` at k >= 2, whose LU is smaller there
-        (3.2M against 5.5M entries at k = 3, N = 32).
+        zeros.  ``order`` is :func:`elimination_order`.
     """
     n = mesh.config.n
     k = dofmap.k
@@ -345,18 +340,48 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
     # shared side, where the Lobatto-nodal traces vanish
     matrix.eliminate_zeros()
 
-    if k == 1:
-        order = (element_order(n)[:, None] * ndl + np.arange(ndl)).ravel()
-    else:
-        order = dissection_order(n, k)
-    system = SparseSystem(matrix, rhs, order)
+    system = SparseSystem(matrix, rhs, elimination_order(n, k))
     if dirichlet == "strong":
         _eliminate_boundary_dofs(system, mesh, dofmap)
     return system
 
 
 @lru_cache(maxsize=None)
-def dissection_order(n, k):
+def elimination_order(n, k):
+    """Dof elimination order of the direct solver for degree k on an
+    N x N mesh: the dofs of the :class:`DofMap` layout in the order the
+    LU eliminates them, read-only and cached per (N, k).
+
+    At k = 1 whole elements are eliminated, each element's four dofs
+    together, in minimum-degree order of the element graph (George and
+    Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
+    1981).  That order is the inverse of SuperLU's ``perm_c`` for
+    ``MMD_AT_PLUS_A`` in symmetric mode on the 5-point Laplacian of the
+    element numbering i*N + j (Liu, ACM TOMS 11, 1985, then SuperLU's
+    elimination-tree postorder).  It does not depend on the numeric
+    factors, so an incomplete LU that drops every entry it may supplies
+    it (20 ms against 68 ms for a full LU at N = 128).  At k >= 2 the
+    order is face-node nested dissection (:func:`_face_dissection`).
+
+    Against SuperLU's minimum degree on the dof graph, the LU has 10.3M
+    against 13.5M entries at k = 1, N = 128, 8.2M against 11.2M at
+    k = 2, N = 64 and 3.2M against 3.9M at k = 3, N = 32.  Each order
+    loses where the other is used: face-node dissection gives 16.0M at
+    k = 1, N = 128 and the element order 5.5M at k = 3, N = 32.
+    """
+    if k == 1:
+        line = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+        laplacian = (kron(line, eye(n)) + kron(eye(n), line)).tocsc()
+        lu = spilu(laplacian, drop_tol=1.0, fill_factor=1,
+                   permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        order = (np.argsort(lu.perm_c)[:, None] * 4 + np.arange(4)).ravel()
+    else:
+        order = _face_dissection(n, k)
+    order.flags.writeable = False
+    return order
+
+
+def _face_dissection(n, k):
     """Face-node nested-dissection order of the dofs of an N x N mesh.
 
     The element grid is bisected along its longer side (x on a tie), and
@@ -369,8 +394,7 @@ def dissection_order(n, k):
     The order is [first half, second half, separator] at every level,
     and the dofs of one separator or leaf stay in natural order (A.
     George, "Nested dissection of a regular finite element mesh", SIAM J.
-    Numer. Anal. 10, 1973).  The returned array is read-only; it is cached
-    per (N, k).
+    Numer. Anal. 10, 1973).
     """
     m = k + 1
     i, j = np.divmod(np.arange(n * n), n)
@@ -403,9 +427,7 @@ def dissection_order(n, k):
         x1 = np.where(in_x & ~second, mid, x1)
         y0 = np.where(~in_x & second, mid, y0)
         y1 = np.where(~in_x & ~second, mid, y1)
-    order = np.argsort(key.ravel(), kind="stable")
-    order.flags.writeable = False
-    return order
+    return np.argsort(key.ravel(), kind="stable")
 
 
 def boundary_dofs(mesh, dofmap):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -356,8 +357,15 @@ def _ints(text):
     return tuple(int(tok) for tok in _items(text))
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _floats(text):
-    return tuple(float(tok) for tok in _items(text))
+    return tuple(_float(tok) for tok in _items(text))
 
 
 #: config key -> (field it sets, parser of its text); "solver." fields
@@ -367,11 +375,11 @@ CONFIG_KEYS = {
     "k": ("k_list", _ints),
     "eps": ("eps_list", _floats),
     "n": ("n_list", _ints),
-    "sigma": ("sigma", float),
-    "beta1": ("beta1", float),
-    "beta2": ("beta2", float),
+    "sigma": ("sigma", _float),
+    "beta1": ("beta1", _float),
+    "beta2": ("beta2", _float),
     "solver": ("solver.method", str),
-    "rel_tol": ("solver.rel_tol", float),
+    "rel_tol": ("solver.rel_tol", _float),
     "max_iters": ("solver.max_iters", int),
     "restart": ("solver.restart", int),
     "estimate_condition": ("solver.estimate_condition", _bool),
@@ -457,10 +465,9 @@ def main(argv=None):
         sys.stdout.write(csv_text)
 
     for row in report.degraded:
-        reason = f": {row.message}" if row.message else ""
+        reason = row.message or f"relative residual {row.residual:.3e}"
         print(f"warning: solve k={row.k} eps={row.eps} N={row.n} missed the "
-              f"tolerance (residual {row.residual:.3e}){reason}",
-              file=sys.stderr)
+              f"tolerance: {reason}", file=sys.stderr)
     return 2 if report.degraded else 0
 
 

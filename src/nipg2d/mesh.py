@@ -27,21 +27,14 @@ Boundary edges are classified by the same geometric rule as interior ones.
 :func:`classify_edges` returns all 2N(N+1) edges as one :class:`EdgeSet`
 of parallel arrays (line, cell band, plus/minus element, normal sign,
 family, penalty), computed by broadcasting over the tensor grid.
-
-:func:`element_order` gives the minimum-degree elimination order of the
-element graph, which the direct solver uses for the assembled matrix at
-degree k = 1.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import spilu
 
 
 class EdgeType(IntEnum):
@@ -143,7 +136,8 @@ def build_mesh(config):
     Raises
     ------
     ValueError
-        If N is odd or < 8, or eps/sigma/beta1/beta2 are not positive.
+        If N is odd or < 8, or eps/sigma/beta1/beta2 are not positive
+        and finite.
 
     Warns
     -----
@@ -164,13 +158,13 @@ def _build_unchecked(config):
     beta1, beta2 = config.beta1, config.beta2
     if n < 2 or n % 2 != 0:
         raise ValueError(f"cell count must be even and >= 2, got N={n}")
-    if eps <= 0:
-        raise ValueError(f"perturbation parameter must be positive, got eps={eps}")
-    if sigma <= 0:
-        raise ValueError(f"transition constant must be positive, got sigma={sigma}")
-    if beta1 <= 0 or beta2 <= 0:
-        raise ValueError(
-            f"convection lower bounds must be positive, got ({beta1}, {beta2})")
+    # NaN fails these tests too: min() would turn it into lambda = 1/2; an
+    # infinite beta would give zero-width cells
+    for name in ("eps", "sigma", "beta1", "beta2"):
+        value = getattr(config, name)
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value}")
     if eps > 1.0 / n:
         warnings.warn(
             f"eps={eps} exceeds 1/N={1.0 / n}; the two-band mesh targets the "
@@ -290,30 +284,3 @@ def classify_edges(mesh):
         plus=np.concatenate(plus), minus=np.concatenate(minus),
         normal=np.tile(normal, 2), family=np.tile(family, 2),
         rho=np.tile(rho, 2))
-
-
-@lru_cache(maxsize=None)
-def element_order(n):
-    """Minimum-degree elimination order of the N x N element graph.
-
-    The graph has one vertex per element and one edge per interior face,
-    so its adjacency is the 5-point pattern of the element numbering
-    i*N + j.  The order is SuperLU's ``perm_c`` for the ``MMD_AT_PLUS_A``
-    ordering, in symmetric mode, of the 5-point Laplacian on that pattern
-    (multiple minimum degree, Liu, ACM TOMS 11, 1985, followed by
-    SuperLU's elimination-tree postorder).  The ordering does not depend
-    on the numeric factors, so an incomplete LU that drops every entry it
-    may supplies it at a fraction of a full factorization's cost (20 ms
-    against 68 ms at N = 128).  ``perm_c`` maps each element to its
-    position; the returned read-only array is its inverse, the elements
-    in elimination order.  Eliminating whole elements in this order is
-    the quotient-graph view of George and Liu, *Computer Solution of
-    Large Sparse Positive Definite Systems* (1981).
-    """
-    line = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
-    laplacian = (kron(line, identity(n)) + kron(identity(n), line)).tocsc()
-    lu = spilu(laplacian, drop_tol=1.0, fill_factor=1,
-               permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    order = np.argsort(lu.perm_c)
-    order.flags.writeable = False
-    return order

@@ -8,13 +8,9 @@ diffusion parameters.
 The direct path factors the equilibrated matrix with SuperLU in its
 symmetric-pattern mode: one ordering applied to rows and columns alike,
 with diagonal pivots preferred (threshold 1e-4).  The ordering is the
-system's own ``order`` when it has one.  :func:`~nipg2d.assembly.assemble`
-sets the minimum-degree order of the element graph at k = 1, which keeps
-each element's dofs together, and face-node nested dissection at k >= 2.
-Each leaves a smaller LU than minimum degree on the dof graph: 10.3M
-against 13.5M entries at k = 1, N = 128, and 3.2M against 3.9M at k = 3,
-N = 32, where the element order would give 5.5M.  Without an order,
-SuperLU's minimum degree on the pattern of A^T + A is used.
+system's own ``order`` (:func:`~nipg2d.assembly.elimination_order` for an
+assembled system) when it has one, and SuperLU's minimum degree on the
+pattern of A^T + A otherwise.
 
 Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
@@ -81,7 +77,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
             raise ValueError(f"unknown solver method: {self.method!r}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:             # NaN included
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_iters < 1 or self.restart < 1:
             raise ValueError("iteration limits must be >= 1")
@@ -97,9 +93,11 @@ class SolveReport:
 
     ``iterations`` is 0 for the direct path; ``residual`` is the relative
     residual on the unscaled system; ``converged`` states whether it met
-    the configured tolerance, and ``message`` says why not.  ``lu_fill`` is
-    the number of stored entries of the sparse LU factors (``L.nnz +
-    U.nnz``) on the direct path and ``None`` on the iterative one.
+    the configured tolerance; if not, ``message`` names the residual and
+    ``rel_tol`` and says why (it may also note a failed ILU or a spent
+    GMRES budget).  ``lu_fill`` is the number of stored entries of the
+    sparse LU factors (``L.nnz + U.nnz``) on the direct path and ``None``
+    on the iterative one.
     """
 
     method: str
@@ -138,18 +136,21 @@ def _equilibrate(matrix, order=None):
     return scaled.tocsc(), scale
 
 
-def _residual(matrix, rhs, x, rows=4096):
+_RESIDUAL_ROWS = 4096                 # CSR rows per chunk of _residual
+
+
+def _residual(matrix, rhs, x):
     """b - A x for a CSR matrix, accumulated in ``np.longdouble`` and
     rounded to double.
 
-    The rows go ``rows`` at a time, so the extended copy of the matrix
-    values never holds more than one chunk.
+    The rows go :data:`_RESIDUAL_ROWS` at a time, so the extended copy of
+    the matrix values never holds more than one chunk.
     """
     x = x.astype(np.longdouble)
     r = np.empty_like(rhs)
     indptr = matrix.indptr
-    for lo in range(0, matrix.shape[0], rows):
-        hi = min(lo + rows, matrix.shape[0])
+    for lo in range(0, matrix.shape[0], _RESIDUAL_ROWS):
+        hi = min(lo + _RESIDUAL_ROWS, matrix.shape[0])
         start, stop = indptr[lo], indptr[hi]
         chunk = csr_matrix((matrix.data[start:stop].astype(np.longdouble),
                             matrix.indices[start:stop],
@@ -187,13 +188,13 @@ def solve(system, config=None):
     """Solve an assembled :class:`~nipg2d.assembly.SparseSystem`.
 
     The direct path factors the row-equilibrated matrix in the system's
-    ``order`` (SuperLU's minimum degree on A^T + A if it has none) with
-    diagonal pivots preferred down to a threshold of 1e-4 (see the module
-    docstring for why the coercive NIPG matrix admits them).  Iterative
-    refinement with extended-precision residuals of the unscaled system
-    stops when the extrapolated next correction |dx|^2 / |dx_prev| drops
-    below the unit roundoff times |x|, when a step fails to halve the
-    correction, or after four steps; a well-conditioned system takes one.
+    ``order`` with diagonal pivots preferred down to a threshold of 1e-4
+    (see the module docstring for the order, and for why the coercive
+    NIPG matrix admits these pivots).  Iterative refinement with
+    extended-precision residuals of the unscaled system stops when the
+    extrapolated next correction |dx|^2 / |dx_prev| drops below the unit
+    roundoff times |x|, when a step fails to halve the correction, or
+    after four steps; a well-conditioned system takes one.
     The reported residual is the double-precision relative residual of
     the refined x.
 
@@ -228,8 +229,9 @@ def solve(system, config=None):
     scaled_rhs = row_scale * rhs
     condition = None
     lu_fill = None
-    message = ""
+    notes = []                      # why the solve may have degraded
     rhs_scale = np.linalg.norm(rhs) or 1.0
+    iterations = 0
 
     if config.method == "direct":
         lu_solve, lu_fill = _factor(scaled, order)
@@ -237,7 +239,6 @@ def solve(system, config=None):
             # 1-norms are invariant under the symmetric permutation
             scaled_norm = onenormest(scaled)
         del scaled                  # not needed while refining
-        iterations = 0
         x = lu_solve(scaled_rhs)
         # refinement with extended-precision residuals: each correction
         # shrinks by about the LU's contraction factor, so the next one is
@@ -260,9 +261,7 @@ def solve(system, config=None):
             backward = np.abs(r).max() / (
                 abs(matrix).sum(axis=1).max() * np.abs(x).max()
                 + np.abs(rhs).max())
-            message = (f"the relative residual {r_norm / rhs_scale:.3e} "
-                       f"misses rel_tol {config.rel_tol:.3e}; the normwise "
-                       f"backward error is {backward:.3e}")
+            notes.append(f"the normwise backward error is {backward:.3e}")
         if config.estimate_condition:
             inv = LinearOperator(matrix.shape, matvec=lu_solve,
                                  rmatvec=lambda b: lu_solve(b, trans="T"))
@@ -273,8 +272,8 @@ def solve(system, config=None):
             precond = LinearOperator(scaled.shape, matvec=ilu.solve)
         except RuntimeError as exc:  # singular pivot in the incomplete LU
             precond = None
-            message = f"ILU preconditioner failed ({exc}); ran unpreconditioned"
-        iterations = 0
+            notes.append(
+                f"ILU preconditioner failed ({exc}); ran unpreconditioned")
 
         def count_iteration(_):
             nonlocal iterations
@@ -285,26 +284,28 @@ def solve(system, config=None):
                         M=precond, callback=count_iteration,
                         callback_type="pr_norm")
         r_norm = np.linalg.norm(rhs - matrix @ x)
-        if not message and info > 0:
-            message = f"GMRES stopped after {iterations} iterations"
-        elif not message and r_norm / rhs_scale > config.rel_tol:
+        if info > 0:
+            notes.append(f"GMRES stopped after {iterations} iterations")
+        elif r_norm / rhs_scale > config.rel_tol:
             # GMRES tests the equilibrated, preconditioned residual; the
             # verdict uses the unscaled one
-            message = (f"GMRES met its stopping test on the equilibrated "
-                       f"system, but the unscaled residual "
-                       f"{r_norm / rhs_scale:.3e} misses rel_tol "
-                       f"{config.rel_tol:.3e}")
+            notes.append("GMRES met its stopping test on the equilibrated "
+                         "system, not on the unscaled residual")
 
     wall = time.perf_counter() - start
     residual = float(r_norm / rhs_scale)
+    converged = residual <= config.rel_tol
+    if not converged:
+        notes.insert(0, f"the relative residual {residual:.3e} misses "
+                        f"rel_tol {config.rel_tol:.3e}")
     report = SolveReport(
         method=config.method,
         iterations=iterations,
         residual=residual,
         wall_time=wall,
-        converged=residual <= config.rel_tol,
+        converged=converged,
         condition_estimate=condition,
-        message=message,
+        message="; ".join(notes),
         lu_fill=lu_fill,
     )
     return x, report

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from nipg2d import (
@@ -24,14 +25,20 @@ from nipg2d import (
 )
 import nipg2d
 from nipg2d.analysis import interpolate_vee_global
+from nipg2d.assembly import elimination_order
 from nipg2d.felib import lobatto_nodes
-from nipg2d.mesh import element_order
 
 from helpers import make_case, make_mesh, random_dg_coefficients
 from oracles import (dg_eval, edge_segment, inflow_outflow_split,
                      reversed_edges, trace_pair)
 
 RNG = np.random.default_rng(20240915)
+
+
+def element_laplacian(n):
+    """The 5-point Laplacian on the element numbering i*N + j."""
+    line = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    return (kron(line, identity(n)) + kron(identity(n), line)).tocsc()
 
 
 def find_edge(edges, orientation, line, cell):
@@ -372,7 +379,11 @@ class TestSparsityAndMetadata:
         case = make_case(k=1, n=8, eps=1e-3)
         ndl = case.dofmap.ndof_local
         blocks = case.system.order.reshape(-1, ndl)
-        np.testing.assert_array_equal(blocks[:, 0] // ndl, element_order(8))
+        # minimum degree on the element graph, read from a full LU
+        lu = splu(element_laplacian(8), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+        np.testing.assert_array_equal(blocks[:, 0] // ndl,
+                                      np.argsort(lu.perm_c))
         np.testing.assert_array_equal(blocks, blocks[:, :1] + np.arange(ndl))
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -422,3 +433,26 @@ class TestSparsityAndMetadata:
         bdofs = boundary_dofs(case.mesh, case.dofmap)
         np.testing.assert_allclose(sol[bdofs], 0.0, atol=1e-14)
         assert (sol != 0.0).any()
+
+
+class TestElementOrder:
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_is_a_cached_read_only_permutation(self, n):
+        order = elimination_order(n, 1)
+        np.testing.assert_array_equal(np.sort(order[::4] // 4),
+                                      np.arange(n * n))
+        np.testing.assert_array_equal(np.sort(order), np.arange(4 * n * n))
+        assert not order.flags.writeable
+        assert elimination_order(n, 1) is order
+
+    def test_reduces_fill_of_the_element_graph(self):
+        # the 5-point element Laplacian fills far less in this order than
+        # in the natural (banded) one
+        n = 16
+        laplacian = element_laplacian(n)
+        order = elimination_order(n, 1)[::4] // 4
+
+        def fill(matrix):
+            return splu(matrix, permc_spec="NATURAL").nnz
+
+        assert fill(laplacian[order][:, order]) < 0.7 * fill(laplacian)

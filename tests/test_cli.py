@@ -270,7 +270,9 @@ class TestMain:
         (["--bogus"], 1, "error: unrecognized arguments: --bogus"),
         (["--solver", "foo"], 1, "error: unknown solver method: 'foo'"),
         (["--help"], 0, ""),
-    ], ids=["unknown-flag", "unknown-solver", "help"])
+        (["--eps", "1e-3,nan"], 1,
+         "error: eps: expected a finite number, got 'nan'"),
+    ], ids=["unknown-flag", "unknown-solver", "help", "eps-nan"])
     def test_usage_exit_codes(self, tmp_path, capsys, flags, code, message):
         # exit 2 is left to degraded solves
         out_csv = tmp_path / "t.csv"
@@ -289,8 +291,14 @@ class TestMain:
          ":5: key 'solver' repeated (first set on line 4)"),
         ("k = 1,,2", "error: k: empty item in list '1,,2'"),
         ("k = 1\nquad_order = 4", "unknown config key(s) quad_order;"),
+        ("k = 1\nsigma = nan", "error: sigma: expected a finite number"),
+        ("k = 1\nbeta1 = nan", "error: beta1: expected a finite number"),
+        ("k = 1\nbeta2 = inf", "error: beta2: expected a finite number"),
+        ("k = 1\nrel_tol = nan",
+         "error: rel_tol: expected a finite number"),
     ], ids=["problem", "misspelled", "empty-value", "repeated-key",
-            "empty-item", "quad-order"])
+            "empty-item", "quad-order", "sigma-nan", "beta1-nan",
+            "beta2-inf", "rel-tol-nan"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
                                       message):
         cfg = tmp_path / "study.cfg"
@@ -319,3 +327,20 @@ class TestMain:
         assert "GMRES stopped after" in err
         echo, _ = parse_csv((tmp_path / "t.csv").read_text())
         assert (echo["max_iters"], echo["restart"]) == ("1", "2")
+
+    @pytest.mark.parametrize("lines", [
+        "rel_tol = 1e-20",
+        "solver = iterative\nrel_tol = 1e-14\nmax_iters = 1\nrestart = 2",
+    ], ids=["direct", "iterative"])
+    def test_degraded_warning_states_the_residual_once(self, tmp_path,
+                                                       capsys, lines):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"k = 1\neps = 1e-3\nn = 8\n{lines}\n")
+        out_csv = tmp_path / "t.csv"
+        code = main(["study", "--config", str(cfg),
+                     "--out-csv", str(out_csv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        _, rows = parse_csv(out_csv.read_text())
+        assert err.count(format(rows[0]["residual"], ".3e")) == 1
+        assert "misses rel_tol" in err

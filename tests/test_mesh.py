@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import splu
 
 from nipg2d.mesh import (
     NO_ELEMENT,
@@ -14,7 +12,6 @@ from nipg2d.mesh import (
     MeshConfig,
     build_mesh,
     classify_edges,
-    element_order,
     penalty_weight,
 )
 
@@ -58,6 +55,8 @@ class TestBuildMesh:
     @pytest.mark.parametrize("field,value", [
         ("eps", 0.0), ("eps", -1e-3), ("sigma", 0.0),
         ("beta1", -2.0), ("beta2", 0.0),
+        ("eps", math.nan), ("sigma", math.nan), ("beta1", math.nan),
+        ("beta2", math.nan), ("eps", math.inf), ("beta1", math.inf),
     ])
     def test_rejects_nonpositive_parameters(self, field, value):
         kwargs = dict(n=8, eps=1e-3, sigma=2.5, beta1=2.0, beta2=3.0)
@@ -86,29 +85,6 @@ class TestBuildMesh:
                 assert pts[n // 2] == pytest.approx(1.0 - lam, abs=1e-14)
                 assert np.allclose(h[: n // 2], h[0], atol=1e-14)
                 assert np.allclose(h[n // 2:], h[-1], atol=1e-14)
-
-
-class TestElementOrder:
-    @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_is_a_cached_read_only_permutation(self, n):
-        order = element_order(n)
-        np.testing.assert_array_equal(np.sort(order), np.arange(n * n))
-        assert not order.flags.writeable
-        assert element_order(n) is order
-
-    def test_reduces_fill_of_the_element_graph(self):
-        # the 5-point element Laplacian fills far less in this order than
-        # in the natural (banded) one
-        n = 16
-        line = diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
-        laplacian = (kron(line, identity(n))
-                     + kron(identity(n), line)).tocsc()
-        order = element_order(n)
-
-        def fill(matrix):
-            return splu(matrix, permc_spec="NATURAL").nnz
-
-        assert fill(laplacian[order][:, order]) < 0.7 * fill(laplacian)
 
 
 def find_edges(edges, orientation, line, cell):

@@ -12,7 +12,7 @@ from scipy.sparse import random as sparse_random
 from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
                     boundary_layer_problem, classify_edges, solve,
                     supercloseness_error)
-from nipg2d.mesh import element_order
+from nipg2d.assembly import elimination_order
 
 from helpers import make_case, make_mesh
 
@@ -151,7 +151,8 @@ class TestOrdering:
     def test_dissection_order_reduces_fill_at_k3(self):
         case = make_case(k=3, n=16, eps=1e-5)
         ndl = case.dofmap.ndof_local
-        blocks = (element_order(16)[:, None] * ndl + np.arange(ndl)).ravel()
+        elements = elimination_order(16, 1)[::4] // 4
+        blocks = (elements[:, None] * ndl + np.arange(ndl)).ravel()
         _, dissection = solve(case.system)
         _, element_blocks = solve(dataclasses.replace(case.system,
                                                       order=blocks))
@@ -220,6 +221,9 @@ class TestIterative:
         assert not report.converged
         assert np.all(np.isfinite(x))
         assert report.residual > 1e-14
+        assert "GMRES stopped after 2 iterations" in report.message
+        assert (f"relative residual {report.residual:.3e} misses rel_tol "
+                f"1.000e-14") in report.message
 
 
     def test_degraded_solve_says_why(self):
@@ -233,6 +237,17 @@ class TestIterative:
         assert "unscaled residual" in report.message
         assert f"{report.residual:.3e}" in report.message
         assert f"{cfg.rel_tol:.3e}" in report.message
+
+    def test_failed_preconditioner_names_the_residual(self):
+        # a singular matrix: the incomplete LU fails and GMRES cannot
+        # reach the inconsistent right-hand side
+        system = SparseSystem(csr_matrix(np.ones((2, 2))),
+                              np.array([1.0, 0.0]))
+        _, report = solve(system, SolverConfig(method="iterative"))
+        assert not report.converged
+        assert "ILU preconditioner failed" in report.message
+        assert (f"relative residual {report.residual:.3e} misses rel_tol "
+                f"1.000e-10") in report.message
 
     def test_converged_solve_has_no_message(self):
         case = make_case(k=1, n=16, eps=1e-4)
@@ -252,6 +267,7 @@ class TestValidation:
         {"max_iters": 0},
         {"restart": 0},
         {"method": "iterative", "estimate_condition": True},
+        {"rel_tol": float("nan")},
     ])
     def test_bad_numeric_options_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
