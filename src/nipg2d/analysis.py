@@ -25,7 +25,7 @@ space:
 import numpy as np
 from dataclasses import dataclass, field
 
-from .assembly import DGFunction, _cells, _faces, _sample
+from .assembly import DGFunction, _cells, _faces, _sample, _reaction_weight
 from .felib import l2_projector, reference_tables, vee_operator
 
 
@@ -112,8 +112,9 @@ def energy_norm(v, edges, problem, eps):
 
     Raises
     ------
-    ValueError
-        If the sampled reaction weight c - div(b)/2 is not positive.
+    CoefficientConditionError
+        If the sampled reaction weight c - div(b)/2 is negative beyond
+        the round-off slack that :func:`~nipg2d.assembly.assemble` allows.
     """
     mesh, dofmap = v.mesh, v.dofmap
     tab = reference_tables(dofmap.k, dofmap.k + 3)
@@ -121,12 +122,7 @@ def energy_norm(v, edges, problem, eps):
 
     # volume parts
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    c0sq = (_sample(problem.c, x_q, y_q)
-            - 0.5 * _sample(problem.div_b, x_q, y_q))
-    if c0sq.min() < 0.0:
-        raise ValueError(
-            f"reaction weight c - div(b)/2 must not be negative; sampled "
-            f"minimum {c0sq.min():.6g}")
+    c0sq = _reaction_weight(problem, x_q, y_q, _sample(problem.c, x_q, y_q))
     vals = coeffs @ tab.vals                     # (ne, nq^2)
     gx = (coeffs @ tab.gx) * (2.0 / hx)[:, None]
     gy = (coeffs @ tab.gy) * (2.0 / hy)[:, None]
@@ -167,9 +163,6 @@ class ErrorRecord:
     interpolant; ``e_l2`` the broken L2 norm of u - u_h.
     """
 
-    k: int
-    n: int
-    eps: float
     dofs: int
     e_in: float
     e_pi: float
@@ -204,9 +197,6 @@ def supercloseness_error(u_h, edges, problem, eps):
     parts_in = energy_norm(diff_in, edges, problem, eps)
     parts_pi = energy_norm(diff_pi, edges, problem, eps)
     return ErrorRecord(
-        k=dofmap.k,
-        n=mesh.config.n,
-        eps=eps,
         dofs=dofmap.total_dofs,
         e_in=parts_in.value,
         e_pi=parts_pi.value,

@@ -38,7 +38,7 @@ from .mesh import NO_ELEMENT
 
 class CoefficientConditionError(ValueError):
     """Raised when sampled coefficients violate the standing assumptions
-    (componentwise positive convection, positive reaction measure)."""
+    (componentwise positive convection, nonnegative c - div(b)/2)."""
 
 
 @dataclass(frozen=True)
@@ -223,23 +223,22 @@ def _faces(mesh, edges, problem, tab):
                          traces)
 
 
-def _check_coefficients(problem, x, y, b1, b2, c, beta1, beta2):
-    """Spot-check the standing coefficient assumptions at sample points.
+_SLACK = 1e-9                  # round-off allowance of the coefficient checks
 
-    ``b1``, ``b2`` and ``c`` are the coefficients already sampled at
-    ``(x, y)``; only ``div_b`` is sampled here.
+
+def _reaction_weight(problem, x, y, c):
+    """The reaction weight c0^2 = c - div(b)/2 at ``(x, y)``, clipped at 0.
+
+    ``c`` is the reaction coefficient already sampled at ``(x, y)``.
+    Raises :class:`CoefficientConditionError` if the weight is negative
+    beyond a round-off slack of 1e-9.
     """
-    slack = 1e-9
     c0sq = c - 0.5 * _sample(problem.div_b, x, y)
-    if b1.min() < beta1 - slack or b2.min() < beta2 - slack:
-        raise CoefficientConditionError(
-            f"convection field drops below its declared lower bounds: "
-            f"min b = ({b1.min():.6g}, {b2.min():.6g}), "
-            f"declared ({beta1}, {beta2})")
-    if c0sq.min() < -slack:
+    if c0sq.min() < -_SLACK:
         raise CoefficientConditionError(
             f"c - div(b)/2 must be nonnegative; sampled minimum "
             f"{c0sq.min():.6g}")
+    return np.maximum(c0sq, 0.0)
 
 
 def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
@@ -287,8 +286,13 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
     b1_q = _sample(problem.b1, x_q, y_q)
     b2_q = _sample(problem.b2, x_q, y_q)
     c_q = _sample(problem.c, x_q, y_q)
-    _check_coefficients(problem, x_q, y_q, b1_q, b2_q, c_q,
-                        mesh.config.beta1, mesh.config.beta2)
+    beta1, beta2 = mesh.config.beta1, mesh.config.beta2
+    if b1_q.min() < beta1 - _SLACK or b2_q.min() < beta2 - _SLACK:
+        raise CoefficientConditionError(
+            f"convection field drops below its declared lower bounds: "
+            f"min b = ({b1_q.min():.6g}, {b2_q.min():.6g}), "
+            f"declared ({beta1}, {beta2})")
+    _reaction_weight(problem, x_q, y_q, c_q)
 
     kxx = np.einsum("q,mq,nq->mn", tab.w2, tab.gx, tab.gx)
     kyy = np.einsum("q,mq,nq->mn", tab.w2, tab.gy, tab.gy)

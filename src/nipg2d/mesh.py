@@ -106,10 +106,6 @@ class ShishkinMesh:
     h_y: np.ndarray
 
     @property
-    def n(self):
-        return self.config.n
-
-    @property
     def n_elements(self):
         return self.config.n ** 2
 

@@ -11,9 +11,10 @@ from nipg2d.analysis import (
     interpolate_vee_global,
     supercloseness_error,
 )
-from nipg2d.assembly import ProblemData
+from nipg2d.assembly import ProblemData, assemble
 from nipg2d.felib import reference_tables
 from nipg2d.mesh import NO_ELEMENT
+from nipg2d.solver import solve
 
 import oracles
 from helpers import (as_dg, coarse_elements, error_chain, make_case,
@@ -209,6 +210,24 @@ class TestErrorRecord:
         rec = supercloseness_error(u_h, case.edges, case.problem, case.eps)
         assert rec.e_in == 0.0
         assert rec.e_pi > 0.0  # composite differs on the coarse region
+
+    def test_round_off_reaction_weight_is_accepted(self):
+        # c - div(b)/2 = 0.15 - (0.1 + 0.2)/2 = -2.8e-17: assemble accepts
+        # it, so the error record must too
+        case = make_case(k=1, n=8, eps=1e-3)
+        problem = ProblemData(
+            b1=case.problem.b1, b2=case.problem.b2,
+            div_b=lambda x, y: np.full_like(x, 0.1 + 0.2),
+            c=lambda x, y: np.full_like(x, 0.15),
+            f=case.problem.f, exact=case.problem.exact)
+        system = assemble(case.mesh, case.edges, case.dofmap, problem,
+                          case.eps)
+        x, report = solve(system)
+        assert report.converged
+        rec = supercloseness_error(as_dg(case, x), case.edges, problem,
+                                   case.eps)
+        assert rec.components["reaction"] == 0.0
+        assert np.isfinite(rec.e_in) and rec.e_in > 0.0
 
     def test_missing_exact_solution_is_rejected(self):
         case = make_case(k=1, n=8, eps=1e-3)
