@@ -229,8 +229,8 @@ class TestIterative:
     @pytest.mark.parametrize("eps, n", [(1e-8, 16), (1e-4, 64)])
     def test_stopping_test_is_the_verdict(self, eps, n):
         # GMRES stops on the unscaled relative residual, so a stop within
-        # the budget meets rel_tol; a test on the equilibrated system
-        # missed it on these two cells
+        # the budget meets rel_tol; these are the two cells where a
+        # stopping test on the equilibrated system misses it
         case = make_case(k=1, n=n, eps=eps, dirichlet="strong")
         cfg = SolverConfig(method="iterative")
         _, report = solve(case.system, cfg)
