@@ -95,10 +95,10 @@ class ProblemData:
 class SparseSystem:
     """Assembled matrix and load vector.
 
-    ``order``, when set, is the dof elimination order for the direct
-    solver, the dofs listed in the order they are eliminated;
-    :func:`assemble` sets :func:`elimination_order`, and ``None`` leaves
-    the choice to the solver.
+    ``order``, when set, lists the dofs in the order that the solver's LU,
+    complete or incomplete, eliminates them; :func:`assemble` sets
+    :func:`elimination_order`, and ``None`` leaves the choice to the
+    solver.
     """
 
     matrix: csr_matrix
@@ -352,9 +352,9 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
 
 @lru_cache(maxsize=None)
 def elimination_order(n, k):
-    """Dof elimination order of the direct solver for degree k on an
-    N x N mesh: the dofs of the :class:`DofMap` layout in the order the
-    LU eliminates them, read-only and cached per (N, k).
+    """Dof elimination order of the solver's LU, complete or incomplete,
+    for degree k on an N x N mesh: the dofs of the :class:`DofMap` layout
+    in the order the LU eliminates them, read-only and cached per (N, k).
 
     At k = 1 whole elements are eliminated, each element's four dofs
     together, in minimum-degree order of the element graph (George and

@@ -3,17 +3,19 @@
 Both paths factor the row-equilibrated matrix DA, each row scaled by its
 largest absolute entry: the penalty weights spread row magnitudes over
 several orders, and equilibration keeps the factorizations well behaved
-for small diffusion parameters.  The iterative path takes an incomplete LU
-of DA but runs restarted GMRES on A itself, left-preconditioned by
-M r = (DA)^-1 D r, so GMRES stops on the relative residual |b - Ax| / |b|
-that decides ``converged``.
+for small diffusion parameters.  The direct path solves with the LU of
+DA.  The iterative path takes an incomplete LU of DA but runs restarted
+GMRES on A itself, left-preconditioned by M r = (DA)^-1 D r, so GMRES
+stops on the relative residual |b - Ax| / |b| that decides ``converged``.
 
-The direct path factors the equilibrated matrix with SuperLU in its
-symmetric-pattern mode: one ordering applied to rows and columns alike,
-with diagonal pivots preferred (threshold 1e-4).  The ordering is the
-system's own ``order`` (:func:`~nipg2d.assembly.elimination_order` for an
-assembled system) when it has one, and SuperLU's minimum degree on the
-pattern of A^T + A otherwise.
+Both paths factor with SuperLU in its symmetric-pattern mode, one
+ordering applied to rows and columns alike, with diagonal pivots preferred
+(threshold 1e-4).  The ordering is the system's ``order``
+(:func:`~nipg2d.assembly.elimination_order` for an assembled system) when
+it has one, and SuperLU's minimum degree on the pattern of A^T + A
+otherwise.  The ordering matters as much to an incomplete LU of a
+convection-diffusion matrix (Benzi, Szyld and van Duin, SIAM J. Sci.
+Comput. 20, 1999).
 
 Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
@@ -165,19 +167,19 @@ def _residual(matrix, rhs, x):
     return r
 
 
-def _factor(scaled, order):
-    """Sparse LU of the equilibrated matrix in symmetric-pattern mode.
+def _factor(scaled, order, factorize=splu, **drop):
+    """(Incomplete) LU of the equilibrated matrix in symmetric-pattern mode.
 
     ``scaled`` comes from :func:`_equilibrate` with the same ``order``.
     With an order, P (DA) P^T is factored in natural order; without one,
     SuperLU orders DA by minimum degree on its A^T + A pattern.  Returns
     the solve function ``(b, trans="N") -> x`` for DA and the LU fill.
     """
-    options = dict(diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
+    lu = factorize(scaled, permc_spec="MMD_AT_PLUS_A" if order is None
+                   else "NATURAL", diag_pivot_thresh=1e-4,
+                   options={"SymmetricMode": True}, **drop)
     if order is None:
-        lu = splu(scaled, permc_spec="MMD_AT_PLUS_A", **options)
         return lu.solve, lu.nnz
-    lu = splu(scaled, permc_spec="NATURAL", **options)
 
     # a plain closure: an object holding the LU in a reference cycle
     # would keep it alive until the cycle collector runs
@@ -192,16 +194,16 @@ def _factor(scaled, order):
 def solve(system, config=None):
     """Solve an assembled :class:`~nipg2d.assembly.SparseSystem`.
 
-    The direct path factors the row-equilibrated matrix in the system's
+    Both paths factor the row-equilibrated matrix in the system's
     ``order`` with diagonal pivots preferred down to a threshold of 1e-4
     (see the module docstring for the order, and for why the coercive
-    NIPG matrix admits these pivots).  Iterative refinement with
-    extended-precision residuals of the unscaled system stops when the
+    NIPG matrix admits these pivots), the iterative path incompletely
+    (drop tolerance 1e-5, fill factor 20).  The direct path refines with
+    extended-precision residuals of the unscaled system, and stops when the
     extrapolated next correction |dx|^2 / |dx_prev| drops below the unit
     roundoff times |x|, when a step fails to halve the correction, or
-    after four steps; a well-conditioned system takes one.
-    The reported residual is the double-precision relative residual of
-    the refined x.
+    after four steps; a well-conditioned system takes one.  The reported
+    residual is the double-precision relative residual of the final x.
 
     Parameters
     ----------
@@ -223,8 +225,7 @@ def solve(system, config=None):
             f"rhs has shape {rhs.shape}, expected ({rows},)")
     if not np.all(np.isfinite(matrix.data)) or not np.all(np.isfinite(rhs)):
         raise ValueError("system contains non-finite entries")
-    # the ILU path keeps the dof order
-    order = system.order if config.method == "direct" else None
+    order = system.order
     if order is not None and not np.array_equal(np.sort(order),
                                                 np.arange(rows)):
         raise ValueError("order must be a permutation of the unknowns")
@@ -273,8 +274,8 @@ def solve(system, config=None):
     else:
         # M r = (DA)^-1 D r: the ILU of DA with the row scaling folded in
         try:
-            ilu = spilu(scaled, drop_tol=1e-5, fill_factor=20)
-            apply_inverse = ilu.solve
+            apply_inverse, _ = _factor(scaled, order, spilu,
+                                       drop_tol=1e-5, fill_factor=20)
         except RuntimeError as exc:  # singular pivot in the incomplete LU
             apply_inverse = np.asarray
             notes.append(f"ILU preconditioner failed ({exc}); "

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse import random as sparse_random
+from scipy.sparse.linalg import spilu
 
 from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
-                    boundary_layer_problem, classify_edges, solve,
+                    boundary_layer_problem, classify_edges, solve, solver,
                     supercloseness_error)
 from nipg2d.assembly import elimination_order
 
@@ -164,13 +165,52 @@ class TestOrdering:
             with pytest.raises(ValueError, match="permutation"):
                 solve(dataclasses.replace(system, order=order))
 
-    def test_iterative_path_ignores_the_order(self):
+    @pytest.mark.parametrize("ordered", [True, False],
+                             ids=["ordered", "unordered"])
+    def test_ilu_factors_the_system_in_its_order(self, monkeypatch,
+                                                 ordered):
+        # the incomplete LU gets the direct path's P (DA) P^T in natural
+        # order, or DA under minimum degree when the system has no order
         case = make_case(k=1, n=8, eps=1e-3)
-        cfg = SolverConfig(method="iterative", rel_tol=1e-10)
-        x1, r1 = solve(case.system, cfg)
-        x2, r2 = solve(unordered(case.system), cfg)
-        np.testing.assert_array_equal(x1, x2)
-        assert r1.iterations == r2.iterations
+        system = case.system if ordered else unordered(case.system)
+        calls = []
+
+        def recording_spilu(matrix, **kwargs):
+            calls.append((matrix.toarray(), kwargs))
+            return spilu(matrix, **kwargs)
+
+        monkeypatch.setattr(solver, "spilu", recording_spilu)
+        _, report = solve(system, SolverConfig(method="iterative"))
+        assert report.converged
+        [(factored, kwargs)] = calls
+        matrix = system.matrix.toarray()
+        scaled = matrix / np.abs(matrix).max(axis=1, keepdims=True)
+        if ordered:
+            order = system.order
+            scaled = scaled[np.ix_(order, order)]
+        np.testing.assert_allclose(factored, scaled, rtol=1e-15, atol=0.0)
+        assert kwargs["permc_spec"] == ("NATURAL" if ordered
+                                        else "MMD_AT_PLUS_A")
+        assert kwargs["diag_pivot_thresh"] == 1e-4
+        assert kwargs["options"] == {"SymmetricMode": True}
+
+    @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_iterative_errors_do_not_depend_on_the_order(self, k,
+                                                         dirichlet):
+        case = make_case(k=k, n=8, eps=1e-4, dirichlet=dirichlet)
+        cfg = SolverConfig(method="iterative")
+        records = []
+        for system in (case.system, unordered(case.system)):
+            x, report = solve(system, cfg)
+            assert report.converged
+            records.append(supercloseness_error(
+                DGFunction(case.mesh, case.dofmap, x), case.edges,
+                case.problem, case.eps))
+        ordered, plain = records
+        for name in ("e_in", "e_pi", "e_l2"):
+            assert getattr(ordered, name) == pytest.approx(
+                getattr(plain, name), rel=1e-8, abs=0.0), name
 
     def test_solves_leave_no_reference_cycles(self):
         # an LU kept alive by a reference cycle would stay in memory until
@@ -248,6 +288,19 @@ class TestIterative:
         assert "ILU preconditioner failed" in report.message
         assert (f"relative residual {report.residual:.3e} misses rel_tol "
                 f"1.000e-10") in report.message
+
+    def test_failed_ordered_preconditioner_falls_back(self):
+        # the same singular matrix with an order: the incomplete LU of
+        # P (DA) P^T fails too, and the row scaling preconditions alone
+        system = SparseSystem(csr_matrix(np.ones((2, 2))),
+                              np.array([1.0, 0.0]), np.array([1, 0]))
+        _, report = solve(system, SolverConfig(method="iterative"))
+        assert not report.converged
+        # the verdict leads the message, the ILU note follows it
+        assert report.message.startswith(
+            f"the relative residual {report.residual:.3e} misses rel_tol "
+            f"1.000e-10; ILU preconditioner failed (")
+        assert "preconditioned by the row scaling alone" in report.message
 
     def test_converged_solve_has_no_message(self):
         case = make_case(k=1, n=16, eps=1e-4)
