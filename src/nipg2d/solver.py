@@ -1,12 +1,9 @@
 """Linear solvers for the assembled systems.
 
-Both paths factor the row-equilibrated matrix DA, each row scaled by its
-largest absolute entry: the penalty weights spread row magnitudes over
-several orders, and equilibration keeps the factorizations well behaved
-for small diffusion parameters.  The direct path solves with the LU of
-DA.  The iterative path takes an incomplete LU of DA but runs restarted
-GMRES on A itself, left-preconditioned by M r = (DA)^-1 D r, so GMRES
-stops on the relative residual |b - Ax| / |b| that decides ``converged``.
+Both paths factor the assembled matrix A itself.  The direct path solves
+with its LU.  The iterative path runs restarted GMRES on A,
+left-preconditioned by M r = ILU(A)^-1 r, so GMRES stops on the relative
+residual |b - Ax| / |b| that decides ``converged``.
 
 Both paths factor with SuperLU in its symmetric-pattern mode, one
 ordering applied to rows and columns alike, with diagonal pivots preferred
@@ -20,28 +17,31 @@ Comput. 20, 1999).
 Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
 is positive definite, since v^T A v = B(v, v) = |v|_E^2 > 0, and such a
-matrix has an LU without off-diagonal pivots.  Row scaling keeps that LU
-(DA = (D L D^-1)(D U)), a symmetric permutation keeps A + A^T definite,
-and strong Dirichlet rows only add identity rows and zero columns.  The
-threshold is not 0: SuperLU then accepts any nonzero diagonal, however
-tiny, and a general matrix that needs off-diagonal pivots loses accuracy.
+matrix has an LU without off-diagonal pivots.  A symmetric permutation
+keeps A + A^T definite, and strong Dirichlet rows only add identity rows
+and zero columns.  On assembled systems the LU indeed takes every pivot on
+the diagonal, although the edge-type penalties spread the row magnitudes
+over several orders.  The threshold is not 0: SuperLU then accepts any
+nonzero diagonal, however tiny, and a general matrix that needs
+off-diagonal pivots loses accuracy.
 
-Iterative refinement computes the residual b - A x of the unscaled system
-in ``np.longdouble`` and takes the correction from the same double LU
-(Demmel, Hida, Kahan, Li, Mukherjee and Riedy, "Error bounds from
-extra-precise iterative refinement", ACM TOMS 32, 2006).  The forward
-error of x then falls from about cond(A) times the double unit roundoff
-to about the unit roundoff plus cond(A) times that of ``longdouble``
-(5.4e-20 for the 80-bit format of x86-64 Linux), so the solution, and
-the errors computed from it, no longer depend on the ordering: two
-orderings of a k <= 3, N = 8 system give solutions 1e-17 to 1e-16 apart
-instead of 5e-15 to 2e-14.  Where ``longdouble`` is plain double the
-residual is a double one, and the double floor applies.
+Iterative refinement computes the residual b - A x in ``np.longdouble``
+and takes the correction from the same double LU (Demmel, Hida, Kahan,
+Li, Mukherjee and Riedy, "Error bounds from extra-precise iterative
+refinement", ACM TOMS 32, 2006).  The forward error of x then falls from
+about cond(A) times the double unit roundoff to about the unit roundoff
+plus cond(A) times that of ``longdouble`` (5.4e-20 for the 80-bit format
+of x86-64 Linux), so the solution, and the errors computed from it, no
+longer depend on the ordering: two orderings of a k <= 3, N = 8 system
+give solutions 1e-17 to 1e-16 apart instead of 5e-15 to 2e-14.  Where
+``longdouble`` is plain double the residual is a double one, and the
+double floor applies.
 
-The reported residual is always the double-precision one on the original,
-unscaled system, on both paths.  A run whose residual misses the requested
-tolerance is reported as not converged but never raises: callers decide
-how to treat degraded solves.
+The reported residual is always the double-precision one, on both paths.
+A run whose residual misses the requested tolerance is reported as not
+converged but never raises: callers decide how to treat degraded solves.
+A direct solve of an exactly singular matrix does raise (see
+:func:`solve`).
 """
 
 import time
@@ -62,16 +62,16 @@ class SolverConfig:
     method : {"direct", "iterative"}
         Sparse LU, or restarted GMRES with an incomplete-LU preconditioner.
     rel_tol : float
-        Target relative residual |b - Ax| / |b| of the unscaled system;
+        Target relative residual |b - Ax| / |b|, positive and finite;
         GMRES stops on it, and both paths report ``converged`` by it.
     max_iters : int
         Inner-iteration budget for the iterative path.
     restart : int
         GMRES restart length.
     estimate_condition : bool
-        Estimate the 1-norm condition number of the equilibrated matrix
-        (direct path only, so it is rejected with "iterative"; costs a
-        few extra solves).
+        Estimate the 1-norm condition number of the matrix (direct path
+        only, so it is rejected with "iterative"; costs a few extra
+        solves).
     """
 
     method: str = "direct"
@@ -83,8 +83,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
             raise ValueError(f"unknown solver method: {self.method!r}")
-        if not self.rel_tol > 0:             # NaN included
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0 < self.rel_tol < np.inf:    # NaN included
+            raise ValueError(
+                f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_iters < 1 or self.restart < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.estimate_condition and self.method != "direct":
@@ -98,11 +99,12 @@ class SolveReport:
     """Outcome of one linear solve.
 
     ``iterations`` is 0 for the direct path; ``residual`` is the relative
-    residual on the unscaled system, the quantity GMRES stops on;
-    ``converged`` states whether it met the configured tolerance.  If not,
-    ``message`` names the residual and ``rel_tol`` and says why: a spent
-    GMRES budget, or the normwise backward error of a direct solve.  It
-    also notes a failed ILU.  ``lu_fill`` is the number of stored entries
+    residual |b - Ax| / |b|, the quantity GMRES stops on; ``converged``
+    states whether it met the configured tolerance.  If not, ``message``
+    names the residual and ``rel_tol`` and says why: a spent GMRES
+    budget, or the normwise backward error of a direct solve.  It also
+    notes a failed ILU.  ``condition_estimate`` is the estimated 1-norm
+    condition number of A, when requested.  ``lu_fill`` is the number of stored entries
     of the sparse LU factors (``L.nnz + U.nnz``) on the direct path and
     ``None`` on the iterative one.
     """
@@ -115,32 +117,6 @@ class SolveReport:
     condition_estimate: float | None = None
     message: str = ""
     lu_fill: int | None = None
-
-
-def _equilibrate(matrix, order=None):
-    """Scale the rows of a CSR matrix by their largest absolute entry.
-
-    Returns the scaled matrix DA as CSC, or P (DA) P^T (row and column
-    ``order[i]`` of DA moved to position i) when an ``order`` is given,
-    and the diagonal of D.  Only the rows are gathered into a new CSR
-    copy; their column indices are relabelled in it, and one CSR-to-CSC
-    pass sorts the entries into columns.
-    """
-    indptr, counts = matrix.indptr, np.diff(matrix.indptr)
-    row_max = np.zeros(matrix.shape[0])
-    stored = counts > 0
-    row_max[stored] = np.maximum.reduceat(np.abs(matrix.data),
-                                          indptr[:-1][stored])
-    row_max[row_max == 0.0] = 1.0
-    scale = 1.0 / row_max
-    scaled = csr_matrix((matrix.data * np.repeat(scale, counts),
-                         matrix.indices, indptr), shape=matrix.shape)
-    if order is not None:
-        position = np.empty_like(matrix.indices, shape=order.size)
-        position[order] = np.arange(order.size)
-        scaled = scaled[order]
-        scaled.indices = position[scaled.indices]
-    return scaled.tocsc(), scale
 
 
 _RESIDUAL_ROWS = 4096                 # CSR rows per chunk of _residual
@@ -167,15 +143,26 @@ def _residual(matrix, rhs, x):
     return r
 
 
-def _factor(scaled, order, factorize=splu, **drop):
-    """(Incomplete) LU of the equilibrated matrix in symmetric-pattern mode.
+def _factor(matrix, order, factorize, **drop):
+    """(Incomplete) LU of a CSR matrix A in symmetric-pattern mode, by
+    ``factorize`` (``splu`` or ``spilu``, with the ``drop`` options).
 
-    ``scaled`` comes from :func:`_equilibrate` with the same ``order``.
-    With an order, P (DA) P^T is factored in natural order; without one,
-    SuperLU orders DA by minimum degree on its A^T + A pattern.  Returns
-    the solve function ``(b, trans="N") -> x`` for DA and the LU fill.
+    With an ``order``, P A P^T (row and column ``order[i]`` of A moved to
+    position i) is factored in natural order; without one, SuperLU orders
+    A by minimum degree on its A^T + A pattern.  Only the rows are
+    gathered into a new CSR copy; their column indices are relabelled in
+    it, and one CSR-to-CSC pass sorts the entries into columns.  Returns
+    the solve function ``(b, trans="N") -> x`` for A and the LU fill.
     """
-    lu = factorize(scaled, permc_spec="MMD_AT_PLUS_A" if order is None
+    if order is None:
+        permuted = matrix.tocsc()
+    else:
+        position = np.empty_like(matrix.indices, shape=order.size)
+        position[order] = np.arange(order.size)
+        permuted = matrix[order]
+        permuted.indices = position[permuted.indices]
+        permuted = permuted.tocsc()
+    lu = factorize(permuted, permc_spec="MMD_AT_PLUS_A" if order is None
                    else "NATURAL", diag_pivot_thresh=1e-4,
                    options={"SymmetricMode": True}, **drop)
     if order is None:
@@ -194,16 +181,16 @@ def _factor(scaled, order, factorize=splu, **drop):
 def solve(system, config=None):
     """Solve an assembled :class:`~nipg2d.assembly.SparseSystem`.
 
-    Both paths factor the row-equilibrated matrix in the system's
-    ``order`` with diagonal pivots preferred down to a threshold of 1e-4
-    (see the module docstring for the order, and for why the coercive
-    NIPG matrix admits these pivots), the iterative path incompletely
-    (drop tolerance 1e-5, fill factor 20).  The direct path refines with
-    extended-precision residuals of the unscaled system, and stops when the
-    extrapolated next correction |dx|^2 / |dx_prev| drops below the unit
-    roundoff times |x|, when a step fails to halve the correction, or
-    after four steps; a well-conditioned system takes one.  The reported
-    residual is the double-precision relative residual of the final x.
+    Both paths factor the matrix in the system's ``order`` with diagonal
+    pivots preferred down to a threshold of 1e-4 (see the module docstring
+    for the order, and for why the coercive NIPG matrix admits these
+    pivots), the iterative path incompletely (drop tolerance 1e-5, fill
+    factor 20).  The direct path refines with extended-precision
+    residuals, and stops when the extrapolated next correction
+    |dx|^2 / |dx_prev| drops below the unit roundoff times |x|, when a
+    step fails to halve the correction, or after four steps; a
+    well-conditioned system takes one.  The reported residual is the
+    double-precision relative residual of the final x.
 
     Parameters
     ----------
@@ -213,6 +200,17 @@ def solve(system, config=None):
     Returns
     -------
     (x, report) : (ndarray, SolveReport)
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square, the right-hand side does not match
+        it, an entry is not finite, or ``order`` is not a permutation.
+    RuntimeError
+        SuperLU's "Factor is exactly singular", on the direct path, when
+        the LU meets a zero pivot column, as for an exactly singular
+        matrix.  An assembled NIPG matrix is coercive, so only a
+        hand-built system reaches this.
     """
     config = config or SolverConfig()
     matrix = system.matrix.tocsr()
@@ -231,7 +229,6 @@ def solve(system, config=None):
         raise ValueError("order must be a permutation of the unknowns")
 
     start = time.perf_counter()
-    scaled, row_scale = _equilibrate(matrix, order)
     condition = None
     lu_fill = None
     notes = []                      # why the solve may have degraded
@@ -239,12 +236,8 @@ def solve(system, config=None):
     iterations = 0
 
     if config.method == "direct":
-        lu_solve, lu_fill = _factor(scaled, order)
-        if config.estimate_condition:
-            # 1-norms are invariant under the symmetric permutation
-            scaled_norm = onenormest(scaled)
-        del scaled                  # not needed while refining
-        x = lu_solve(row_scale * rhs)
+        lu_solve, lu_fill = _factor(matrix, order, splu)
+        x = lu_solve(rhs)
         # refinement with extended-precision residuals: each correction
         # shrinks by about the LU's contraction factor, so the next one is
         # about |dx|^2 / |dx_prev|; stop once that is below the unit
@@ -252,7 +245,7 @@ def solve(system, config=None):
         unit = 0.5 * np.finfo(float).eps
         dx_norm = np.linalg.norm(x)
         for _ in range(4):
-            dx = lu_solve(row_scale * _residual(matrix, rhs, x))
+            dx = lu_solve(_residual(matrix, rhs, x))
             x = x + dx
             dx_norm, previous = np.linalg.norm(dx), dx_norm
             if (dx_norm ** 2 <= unit * np.linalg.norm(x) * previous
@@ -270,19 +263,17 @@ def solve(system, config=None):
         if config.estimate_condition:
             inv = LinearOperator(matrix.shape, matvec=lu_solve,
                                  rmatvec=lambda b: lu_solve(b, trans="T"))
-            condition = float(scaled_norm * onenormest(inv))
+            condition = float(onenormest(matrix) * onenormest(inv))
     else:
-        # M r = (DA)^-1 D r: the ILU of DA with the row scaling folded in
+        # M r = ILU(A)^-1 r
         try:
-            apply_inverse, _ = _factor(scaled, order, spilu,
+            apply_inverse, _ = _factor(matrix, order, spilu,
                                        drop_tol=1e-5, fill_factor=20)
+            precond = LinearOperator(matrix.shape, matvec=apply_inverse)
         except RuntimeError as exc:  # singular pivot in the incomplete LU
-            apply_inverse = np.asarray
+            precond = None
             notes.append(f"ILU preconditioner failed ({exc}); "
-                         f"preconditioned by the row scaling alone")
-        del scaled                  # GMRES needs only A and the ILU
-        precond = LinearOperator(
-            matrix.shape, matvec=lambda r: apply_inverse(row_scale * r))
+                         f"GMRES runs unpreconditioned")
 
         def count_iteration(_):
             nonlocal iterations

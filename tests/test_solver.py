@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse import random as sparse_random
-from scipy.sparse.linalg import spilu
+from scipy.sparse.linalg import spilu, splu
 
 from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
                     boundary_layer_problem, classify_edges, solve, solver,
@@ -101,6 +101,14 @@ class TestDirect:
         assert residual <= 1e-14
         assert report.residual <= 1e-14
 
+    def test_exactly_singular_matrix_raises(self):
+        # SuperLU's error, documented on solve; no assembled NIPG matrix
+        # is singular
+        system = SparseSystem(csr_matrix([[0.0, 0.0], [0.0, 1.0]]),
+                              np.array([1.0, 1.0]))
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            solve(system)
+
     def test_lu_fill_is_reported_for_direct_solves_only(self):
         case = make_case(k=1, n=8, eps=1e-4)
         _, direct = solve(case.system)
@@ -165,34 +173,63 @@ class TestOrdering:
             with pytest.raises(ValueError, match="permutation"):
                 solve(dataclasses.replace(system, order=order))
 
-    @pytest.mark.parametrize("ordered", [True, False],
-                             ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("ordered, method, factorize", [
+        (True, "iterative", spilu),
+        (False, "iterative", spilu),
+        (True, "direct", splu),
+        (False, "direct", splu),
+    ], ids=["ordered", "unordered", "direct-ordered", "direct-unordered"])
     def test_ilu_factors_the_system_in_its_order(self, monkeypatch,
-                                                 ordered):
-        # the incomplete LU gets the direct path's P (DA) P^T in natural
-        # order, or DA under minimum degree when the system has no order
+                                                 ordered, method,
+                                                 factorize):
+        # the incomplete LU, and the direct path's LU, factor P A P^T, the
+        # assembled matrix itself, in natural order, or A under minimum
+        # degree when the system has no order
         case = make_case(k=1, n=8, eps=1e-3)
         system = case.system if ordered else unordered(case.system)
         calls = []
 
-        def recording_spilu(matrix, **kwargs):
+        def recording(matrix, **kwargs):
             calls.append((matrix.toarray(), kwargs))
-            return spilu(matrix, **kwargs)
+            return factorize(matrix, **kwargs)
 
-        monkeypatch.setattr(solver, "spilu", recording_spilu)
-        _, report = solve(system, SolverConfig(method="iterative"))
+        monkeypatch.setattr(solver, factorize.__name__, recording)
+        _, report = solve(system, SolverConfig(method=method))
         assert report.converged
         [(factored, kwargs)] = calls
         matrix = system.matrix.toarray()
-        scaled = matrix / np.abs(matrix).max(axis=1, keepdims=True)
         if ordered:
             order = system.order
-            scaled = scaled[np.ix_(order, order)]
-        np.testing.assert_allclose(factored, scaled, rtol=1e-15, atol=0.0)
+            matrix = matrix[np.ix_(order, order)]
+        np.testing.assert_array_equal(factored, matrix)
         assert kwargs["permc_spec"] == ("NATURAL" if ordered
                                         else "MMD_AT_PLUS_A")
         assert kwargs["diag_pivot_thresh"] == 1e-4
         assert kwargs["options"] == {"SymmetricMode": True}
+
+    @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-10])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lu_pivots_on_the_diagonal(self, monkeypatch, k, eps,
+                                       dirichlet):
+        # the premise of the module docstring: the LU of an assembled
+        # system interchanges no rows, in its order (perm_c is the
+        # identity under NATURAL) or under minimum degree (perm_r is the
+        # symmetric ordering perm_c itself)
+        case = make_case(k=k, n=8, eps=eps, dirichlet=dirichlet)
+        factors = []
+
+        def recording_splu(matrix, **kwargs):
+            factors.append(splu(matrix, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        for system in (case.system, unordered(case.system)):
+            solve(system)
+        ordered, plain = factors
+        rows = case.dofmap.total_dofs
+        np.testing.assert_array_equal(ordered.perm_r, np.arange(rows))
+        np.testing.assert_array_equal(plain.perm_r, plain.perm_c)
 
     @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -268,9 +305,9 @@ class TestIterative:
 
     @pytest.mark.parametrize("eps, n", [(1e-8, 16), (1e-4, 64)])
     def test_stopping_test_is_the_verdict(self, eps, n):
-        # GMRES stops on the unscaled relative residual, so a stop within
-        # the budget meets rel_tol; these are the two cells where a
-        # stopping test on the equilibrated system misses it
+        # GMRES stops on the relative residual, so a stop within the
+        # budget meets rel_tol; these are the two cells where a stopping
+        # test on the row-equilibrated system once missed it
         case = make_case(k=1, n=n, eps=eps, dirichlet="strong")
         cfg = SolverConfig(method="iterative")
         _, report = solve(case.system, cfg)
@@ -291,7 +328,7 @@ class TestIterative:
 
     def test_failed_ordered_preconditioner_falls_back(self):
         # the same singular matrix with an order: the incomplete LU of
-        # P (DA) P^T fails too, and the row scaling preconditions alone
+        # P A P^T fails too, and GMRES runs without a preconditioner
         system = SparseSystem(csr_matrix(np.ones((2, 2))),
                               np.array([1.0, 0.0]), np.array([1, 0]))
         _, report = solve(system, SolverConfig(method="iterative"))
@@ -300,7 +337,7 @@ class TestIterative:
         assert report.message.startswith(
             f"the relative residual {report.residual:.3e} misses rel_tol "
             f"1.000e-10; ILU preconditioner failed (")
-        assert "preconditioned by the row scaling alone" in report.message
+        assert "GMRES runs unpreconditioned" in report.message
 
     def test_converged_solve_has_no_message(self):
         case = make_case(k=1, n=16, eps=1e-4)
@@ -321,6 +358,7 @@ class TestValidation:
         {"restart": 0},
         {"method": "iterative", "estimate_condition": True},
         {"rel_tol": float("nan")},
+        {"rel_tol": float("inf")},
     ])
     def test_bad_numeric_options_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
