@@ -104,9 +104,9 @@ class SolveReport:
     names the residual and ``rel_tol`` and says why: a spent GMRES
     budget, or the normwise backward error of a direct solve.  It also
     notes a failed ILU.  ``condition_estimate`` is the estimated 1-norm
-    condition number of A, when requested.  ``lu_fill`` is the number of stored entries
-    of the sparse LU factors (``L.nnz + U.nnz``) on the direct path and
-    ``None`` on the iterative one.
+    condition number of A, when requested.  ``lu_fill`` is the number of
+    stored entries of the sparse LU factors (``L.nnz + U.nnz``) on the
+    direct path and ``None`` on the iterative one.
     """
 
     method: str
