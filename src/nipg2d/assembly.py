@@ -5,7 +5,8 @@ The discrete problem: find u_h in the broken space Q_k(mesh) with
     B(u_h, v) = B1(u_h, v) + B2(u_h, v) + B3(u_h, v) = L(v)   for all v,
 
 where, with jumps [v] = v_plus - v_minus and averages <v> oriented by each
-edge's normal nu (single traces on the boundary),
+edge's normal nu, which points from its plus to its minus element (single
+traces, and the outward normal, on the boundary),
 
 * B1: sum_K eps (grad u, grad v)_K
       - sum_e eps (<grad u . nu>, [v])_e + sum_e eps ([u], <grad v . nu>)_e
@@ -189,12 +190,16 @@ def _faces(mesh, edges, problem, tab):
 
     Edges are grouped by the reference side on which the plus element
     meets them and by whether a minus side exists, so every batch uses one
-    trace table per side whatever the numbering convention.
+    trace table per side whatever the numbering convention.  An edge is
+    the RIGHT (TOP) side of a plus element whose column (row) lies before
+    the edge's line, and its LEFT (BOTTOM) side otherwise.
     """
+    n = mesh.config.n
     # element widths across vertical (hx) and horizontal (hy) faces
     width_x, width_y, _, _ = _cells(mesh, (), ())
-    plus_side = (np.where(edges.orientation == "v", LEFT, BOTTOM)
-                 + (edges.normal > 0))
+    vertical = edges.orientation == "v"
+    before = np.where(vertical, edges.plus // n, edges.plus % n) < edges.line
+    plus_side = np.where(vertical, LEFT, BOTTOM) + before
     key = 2 * plus_side + (edges.minus == NO_ELEMENT)
     for code in np.unique(key):
         idx = np.flatnonzero(key == code)
@@ -250,8 +255,7 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
     mesh : ShishkinMesh
     edges : EdgeSet
         Output of :func:`nipg2d.mesh.classify_edges`; swapping plus and
-        minus on interior edges, and flipping their normals, gives the
-        same system.
+        minus on any interior edges gives the same system.
     dofmap : DofMap
     problem : ProblemData
     eps : float

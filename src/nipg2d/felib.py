@@ -50,13 +50,11 @@ def gauss_legendre(n):
 def lobatto_nodes(m):
     """Return ``m`` Gauss-Lobatto points on [-1, 1] (endpoints included).
 
-    For m >= 3 the interior points are the roots of P'_{m-1}, the derivative
-    of the Legendre polynomial of degree m - 1.
+    The interior points are the roots of P'_{m-1}, the derivative of the
+    Legendre polynomial of degree m - 1 (none for m = 2).
     """
     if m < 2:
         raise ValueError(f"Lobatto node set needs m >= 2 points, got {m}")
-    if m == 2:
-        return np.array([-1.0, 1.0])
     inner = npleg.Legendre.basis(m - 1).deriv().roots()
     return np.concatenate([[-1.0], np.sort(inner.real), [1.0]])
 

@@ -25,8 +25,8 @@ edge's own direction; equivalently, the cell band the edge spans is coarse.
 Boundary edges are classified by the same geometric rule as interior ones.
 
 :func:`classify_edges` returns all 2N(N+1) edges as one :class:`EdgeSet`
-of parallel arrays (line, cell band, plus/minus element, normal sign,
-family, penalty), computed by broadcasting over the tensor grid.
+of parallel arrays (line, cell band, plus/minus element, family,
+penalty), computed by broadcasting over the tensor grid.
 """
 
 import math
@@ -202,12 +202,8 @@ class EdgeSet:
     plus, minus : ndarray of int
         Flat indices of the elements whose traces are the "plus" and the
         "minus" side; a boundary edge has its single adjacent element as
-        plus side and :data:`NO_ELEMENT` as minus side.
-    normal : ndarray of float
-        Sign of the unit normal nu along the transverse axis: nu is
-        (normal, 0) on vertical and (0, normal) on horizontal edges.  It
-        points from the plus side toward the minus side, and outward on
-        the boundary.
+        plus side and :data:`NO_ELEMENT` as minus side.  The edge's unit
+        normal nu points from plus to minus, outward on the boundary.
     family : ndarray of int
         :class:`EdgeType` code of each edge.
     rho : ndarray of float
@@ -219,7 +215,6 @@ class EdgeSet:
     cell: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    normal: np.ndarray
     family: np.ndarray
     rho: np.ndarray
 
@@ -235,9 +230,8 @@ def classify_edges(mesh):
     """Enumerate all mesh edges with families, penalties and trace sides.
 
     The higher-numbered adjacent element is the plus side of every
-    interior edge (normals (-1, 0) and (0, -1)); a boundary edge's one
-    element is its plus side, with the outward normal.  Assembly and the
-    norms do not depend on this choice of sides.
+    interior edge, and a boundary edge's one element is its plus side.
+    Assembly and the norms do not depend on this choice of sides.
 
     Parameters
     ----------
@@ -272,11 +266,9 @@ def classify_edges(mesh):
                    (line * n + cell, (line - 1) * n + cell)):    # vertical
         plus.append(np.where(last, lo, hi))
         minus.append(np.where(boundary, NO_ELEMENT, lo))
-    normal = np.where(last, 1.0, -1.0)
 
     return EdgeSet(
         orientation=np.repeat(np.array(["h", "v"]), line.size),
         line=np.tile(line, 2), cell=np.tile(cell, 2),
         plus=np.concatenate(plus), minus=np.concatenate(minus),
-        normal=np.tile(normal, 2), family=np.tile(family, 2),
-        rho=np.tile(rho, 2))
+        family=np.tile(family, 2), rho=np.tile(rho, 2))

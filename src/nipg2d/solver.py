@@ -71,7 +71,7 @@ class SolverConfig:
     estimate_condition : bool
         Estimate the 1-norm condition number of the matrix (direct path
         only, so it is rejected with "iterative"; costs a few extra
-        solves).
+        solves).  The estimate is deterministic.
     """
 
     method: str = "direct"
@@ -261,9 +261,11 @@ def solve(system, config=None):
                 + np.abs(rhs).max())
             notes.append(f"the normwise backward error is {backward:.3e}")
         if config.estimate_condition:
+            # exact |A|_1; Hager's estimate of |A^-1|_1 draws no random numbers
             inv = LinearOperator(matrix.shape, matvec=lu_solve,
                                  rmatvec=lambda b: lu_solve(b, trans="T"))
-            condition = float(onenormest(matrix) * onenormest(inv))
+            condition = float(abs(matrix).sum(axis=0).max()
+                              * onenormest(inv, t=1))
     else:
         # M r = ILU(A)^-1 r
         try:

@@ -382,17 +382,18 @@ def energy_components_bruteforce(v, problem, eps, nq=10):
             "inflow_outflow": traces}
 
 
-def reversed_edges(edges):
+def reversed_edges(edges, subset=None):
     """The other trace-side numbering of an edge set: plus and minus
-    swapped on every interior edge and its normal flipped, so the plus
-    side is the lower-numbered element.  Boundary edges keep their one
-    element and outward normal."""
-    interior = edges.minus != NO_ELEMENT
+    swapped on every interior edge, or on the interior edges selected by
+    the boolean mask ``subset``.  Swapped on all, the plus side is the
+    lower-numbered element.  Boundary edges keep their one element."""
+    swap = edges.minus != NO_ELEMENT
+    if subset is not None:
+        swap &= subset
     return dataclasses.replace(
         edges,
-        plus=np.where(interior, edges.minus, edges.plus),
-        minus=np.where(interior, edges.plus, edges.minus),
-        normal=np.where(interior, -edges.normal, edges.normal))
+        plus=np.where(swap, edges.minus, edges.plus),
+        minus=np.where(swap, edges.plus, edges.minus))
 
 
 def edge_segment(mesh, edges, idx):

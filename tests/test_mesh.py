@@ -173,7 +173,7 @@ class TestEdgeClassification:
         assert edges.rho[right_long] == 64.0
 
     @pytest.mark.parametrize("numbering", ["standard", "reversed"])
-    def test_normals_and_sides_standard_numbering(self, numbering):
+    def test_plus_and_minus_sides(self, numbering):
         grid = make_mesh(8, 1e-3, 2.5)
         standard = classify_edges(grid)
         edges = (standard if numbering == "standard"
@@ -181,20 +181,14 @@ class TestEdgeClassification:
         boundary = edges.minus == NO_ELEMENT
         np.testing.assert_array_equal(
             boundary, (edges.line == 0) | (edges.line == 8))
-        # outward normal on the four boundary lines, and the same single
-        # adjacent element in both numberings
-        np.testing.assert_array_equal(
-            edges.normal[boundary],
-            np.where(edges.line[boundary] == 0, -1.0, 1.0))
+        # the same single adjacent element in both numberings
         np.testing.assert_array_equal(edges.plus[boundary],
                                       standard.plus[boundary])
         interior = ~boundary
         if numbering == "standard":
             assert np.all(edges.plus[interior] > edges.minus[interior])
-            assert np.all(edges.normal[interior] == -1.0)
         else:
             np.testing.assert_array_equal(edges.plus[interior],
                                           standard.minus[interior])
             np.testing.assert_array_equal(edges.minus[interior],
                                           standard.plus[interior])
-            assert np.all(edges.normal[interior] == 1.0)

@@ -82,6 +82,22 @@ class TestDirect:
         assert report.condition_estimate >= 1.0
         assert np.isfinite(report.condition_estimate)
 
+    def test_condition_estimate_is_reproducible(self):
+        case = make_case(k=1, n=8, eps=1e-3)
+        config = SolverConfig(estimate_condition=True)
+        state = np.random.get_state()
+        first = solve(case.system, config)[1].condition_estimate
+        second = solve(case.system, config)[1].condition_estimate
+        assert first == second
+        # no draws from the global RNG
+        after = np.random.get_state()
+        np.testing.assert_array_equal(after[1], state[1])
+        assert after[2:] == state[2:]
+        # a lower bound that is tight on this system
+        exact = np.linalg.cond(case.system.matrix.toarray(), 1)
+        assert first == pytest.approx(exact, rel=1e-9)
+        assert first <= exact * (1.0 + 1e-12)
+
     def test_wall_time_is_reported(self):
         system, _ = diagonal_system()
         _, report = solve(system)
