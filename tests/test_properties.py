@@ -81,9 +81,9 @@ def test_bilinear_form_is_the_energy_norm(k, n, eps, coeffs, seed):
        dirichlet=st.sampled_from(["weak", "strong"]))
 def test_any_swapped_subset_of_edges_gives_the_same_system(
         k, n, eps, coeffs, seed, dirichlet):
-    """Swapping plus and minus on a random subset of interior edges puts
-    edges of one mesh line on both reference sides of their plus
-    elements."""
+    """The system, weak or strong, is unchanged when plus and minus swap
+    on a random subset of interior edges, which sends edges of one mesh
+    line to both reference sides of their plus elements."""
     mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
     subset = np.random.default_rng(seed).random(len(edges)) < 0.5
     base = assemble(mesh, edges, dofmap, problem, eps, dirichlet)
