@@ -13,10 +13,10 @@ Typical use::
                                  beta1=2.0, beta2=3.0))
     edges = classify_edges(grid)      # EdgeSet: one array entry per edge
     dofmap = DofMap(k=k, n=n)
-    system = assemble(grid, edges, dofmap, problem, eps)
+    system = assemble(grid, edges, dofmap, problem)
     x, report = solve(system)
     record = supercloseness_error(DGFunction(grid, dofmap, x),
-                                  edges, problem, eps)
+                                  edges, problem)
 
 A :class:`DGFunction` is a coefficient vector on the mesh; the norms and
 interpolants of :mod:`nipg2d.analysis` work on those arrays, and the two

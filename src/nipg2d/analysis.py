@@ -8,7 +8,8 @@ The energy norm of a broken function v is
                             + |v+ - v-|^2 on interior inflow faces
                             + |v+|^2 on outflow-boundary faces ),
 
-where c0^2 = c - div(b)/2 and the face seminorms carry the weight |b . n|.
+where c0^2 = c - div(b)/2 and the face seminorms carry the weight |b . n|
+(eps and the coefficients are the problem's; see ``ProblemData``).
 For componentwise positive convection fields every interior edge is the
 inflow face of exactly one element (the one on its +x / +y side), so each
 interior edge contributes exactly one |b . n|-weighted jump term.
@@ -23,9 +24,9 @@ space:
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .assembly import DGFunction, _cells, _faces, _sample, _reaction_weight
+from .assembly import DGFunction, _cells, _coefficients, _faces, _sample
 from .felib import l2_projector, reference_tables, vee_operator
 
 
@@ -88,12 +89,10 @@ class NormComponents:
                              + self.penalty + self.inflow_outflow))
 
     def as_dict(self):
-        return {"grad": self.grad, "reaction": self.reaction,
-                "penalty": self.penalty,
-                "inflow_outflow": self.inflow_outflow}
+        return asdict(self)
 
 
-def energy_norm(v, edges, problem, eps):
+def energy_norm(v, edges, problem):
     """Energy norm of a :class:`DGFunction`, with component breakdown,
     by the (k + 3)-point Gauss rule per direction.
 
@@ -102,9 +101,7 @@ def energy_norm(v, edges, problem, eps):
     v : DGFunction
     edges : EdgeSet
     problem : ProblemData
-        Supplies b, c and div(b) for the weights.
-    eps : float
-        Diffusion parameter.
+        Supplies eps, and b, c and div(b) for the weights.
 
     Returns
     -------
@@ -113,7 +110,8 @@ def energy_norm(v, edges, problem, eps):
     Raises
     ------
     CoefficientConditionError
-        If the sampled reaction weight c - div(b)/2 is negative beyond
+        If the sampled convection field drops below the mesh's declared
+        bounds, or the reaction weight c - div(b)/2 is negative, beyond
         the round-off slack that :func:`~nipg2d.assembly.assemble` allows.
     """
     mesh, dofmap = v.mesh, v.dofmap
@@ -122,12 +120,12 @@ def energy_norm(v, edges, problem, eps):
 
     # volume parts
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    c0sq = _reaction_weight(problem, x_q, y_q, _sample(problem.c, x_q, y_q))
+    *_, c0sq = _coefficients(problem, mesh.config, x_q, y_q)
     vals = coeffs @ tab.vals                     # (ne, nq^2)
     gx = (coeffs @ tab.gx) * (2.0 / hx)[:, None]
     gy = (coeffs @ tab.gy) * (2.0 / hy)[:, None]
     area = (0.25 * hx * hy)[:, None] * tab.w2[None, :]
-    grad_part = eps * float(np.sum(area * (gx ** 2 + gy ** 2)))
+    grad_part = problem.eps * float(np.sum(area * (gx ** 2 + gy ** 2)))
     reaction_part = float(np.sum(area * c0sq * vals ** 2))
 
     # edge parts: the jump is the single trace on the boundary
@@ -170,7 +168,7 @@ class ErrorRecord:
     components: dict = field(default_factory=dict)
 
 
-def supercloseness_error(u_h, edges, problem, eps):
+def supercloseness_error(u_h, edges, problem):
     """Distance of u_h to the two interpolants of the exact solution.
 
     Parameters
@@ -180,7 +178,6 @@ def supercloseness_error(u_h, edges, problem, eps):
     edges : EdgeSet
     problem : ProblemData
         Must carry an exact solution.
-    eps : float
 
     Returns
     -------
@@ -194,8 +191,8 @@ def supercloseness_error(u_h, edges, problem, eps):
     comp = interpolate_composite(u, vee)
     diff_in = DGFunction(mesh, dofmap, vee.coefficients - u_h.coefficients)
     diff_pi = DGFunction(mesh, dofmap, comp.coefficients - u_h.coefficients)
-    parts_in = energy_norm(diff_in, edges, problem, eps)
-    parts_pi = energy_norm(diff_pi, edges, problem, eps)
+    parts_in = energy_norm(diff_in, edges, problem)
+    parts_pi = energy_norm(diff_pi, edges, problem)
     return ErrorRecord(
         dofs=dofmap.total_dofs,
         e_in=parts_in.value,

@@ -15,8 +15,9 @@ traces, and the outward normal, on the boundary),
       - sum_K ((b.n) u+, v+) on the inflow boundary part of K
       - sum_K ((b.n)(u+ - u-), v+) on the interior inflow part of K,
 * B3: sum_K (c u, v)_K,
-* L:  sum_K (f, v)_K.
+* L:  sum_K (f, v)_K,
 
+with eps and the coefficients read from one :class:`ProblemData`.
 Homogeneous Dirichlet data is imposed weakly through the boundary-edge
 terms above (single-trace jumps); a strong variant that eliminates the
 boundary-node degrees of freedom afterwards is available for comparison.
@@ -77,19 +78,25 @@ class ProblemData:
     """Coefficients of -eps Lap(u) + b . grad(u) + c u = f with u = 0 on
     the boundary of the unit square.
 
-    All entries are callables of (x, y) accepting ndarray arguments;
-    ``div_b`` is the divergence of (b1, b2), and ``exact`` is the solution
-    u where it is known.  The scheme assumes b1 >= beta1 > 0,
-    b2 >= beta2 > 0 and c - div_b / 2 >= 0; :func:`assemble` spot-checks
-    these at the quadrature points.
+    ``eps`` is positive and finite; the other entries are callables of
+    (x, y) accepting ndarray arguments; ``div_b`` is the divergence of
+    (b1, b2), and ``exact`` is the solution u where it is known.  The
+    scheme assumes b1 >= beta1 > 0, b2 >= beta2 > 0 and
+    c - div_b / 2 >= 0; :func:`assemble` and the energy norm spot-check
+    these at their quadrature points.
     """
 
+    eps: float
     b1: object
     b2: object
     div_b: object
     c: object
     f: object
     exact: object | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps={self.eps} is not positive and finite")
 
 
 @dataclass
@@ -231,22 +238,27 @@ def _faces(mesh, edges, problem, tab):
 _SLACK = 1e-9                  # round-off allowance of the coefficient checks
 
 
-def _reaction_weight(problem, x, y, c):
-    """The reaction weight c0^2 = c - div(b)/2 at ``(x, y)``, clipped at 0.
-
-    ``c`` is the reaction coefficient already sampled at ``(x, y)``.
-    Raises :class:`CoefficientConditionError` if the weight is negative
-    beyond a round-off slack of 1e-9.
-    """
+def _coefficients(problem, config, x, y):
+    """b1, b2, c and the reaction weight c0^2 = c - div(b)/2 clipped at 0,
+    sampled at ``(x, y)``.  Raises :class:`CoefficientConditionError` if
+    b1 or b2 drops below the mesh's bound ``config.beta1`` or
+    ``config.beta2``, or c0^2 below 0, by more than 1e-9 (round-off)."""
+    b1, b2 = _sample(problem.b1, x, y), _sample(problem.b2, x, y)
+    if b1.min() < config.beta1 - _SLACK or b2.min() < config.beta2 - _SLACK:
+        raise CoefficientConditionError(
+            f"convection field drops below its declared lower bounds: "
+            f"min b = ({b1.min():.6g}, {b2.min():.6g}), "
+            f"declared ({config.beta1}, {config.beta2})")
+    c = _sample(problem.c, x, y)
     c0sq = c - 0.5 * _sample(problem.div_b, x, y)
     if c0sq.min() < -_SLACK:
         raise CoefficientConditionError(
             f"c - div(b)/2 must be nonnegative; sampled minimum "
             f"{c0sq.min():.6g}")
-    return np.maximum(c0sq, 0.0)
+    return b1, b2, c, np.maximum(c0sq, 0.0)
 
 
-def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
+def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     """Assemble the NIPG matrix and load vector with the (k + 2)-point
     Gauss rule per direction.
 
@@ -258,8 +270,7 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
         minus on any interior edges gives the same system.
     dofmap : DofMap
     problem : ProblemData
-    eps : float
-        Diffusion parameter.
+        Supplies eps and the coefficients.
     dirichlet : {"weak", "strong"}
         Weak (default) keeps the boundary-edge terms; strong additionally
         eliminates boundary-node dofs to zero afterwards.
@@ -287,22 +298,13 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
 
     # ---- element volumes -------------------------------------------------
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    b1_q = _sample(problem.b1, x_q, y_q)
-    b2_q = _sample(problem.b2, x_q, y_q)
-    c_q = _sample(problem.c, x_q, y_q)
-    beta1, beta2 = mesh.config.beta1, mesh.config.beta2
-    if b1_q.min() < beta1 - _SLACK or b2_q.min() < beta2 - _SLACK:
-        raise CoefficientConditionError(
-            f"convection field drops below its declared lower bounds: "
-            f"min b = ({b1_q.min():.6g}, {b2_q.min():.6g}), "
-            f"declared ({beta1}, {beta2})")
-    _reaction_weight(problem, x_q, y_q, c_q)
+    b1_q, b2_q, c_q, _ = _coefficients(problem, mesh.config, x_q, y_q)
 
     kxx = np.einsum("q,mq,nq->mn", tab.w2, tab.gx, tab.gx)
     kyy = np.einsum("q,mq,nq->mn", tab.w2, tab.gy, tab.gy)
     vol = blocks[:, 2]                   # offset 0: the element itself
-    vol[...] = eps * ((hy / hx)[:, None, None] * kxx
-                      + (hx / hy)[:, None, None] * kyy)
+    vol[...] = problem.eps * ((hy / hx)[:, None, None] * kxx
+                              + (hx / hy)[:, None, None] * kyy)
 
     vol += np.einsum("eq,mq,nq->emn",
                      tab.w2 * b1_q * (0.5 * hy)[:, None], tab.vals, tab.gx)
@@ -325,8 +327,8 @@ def assemble(mesh, edges, dofmap, problem, eps, dirichlet="weak"):
             w_r = face.w * (face.rho[:, None] + (face.b if r.inflow else 0.0))
             for c in face.traces:
                 weights = np.hstack([
-                    -avg * eps * r.sign * face.w * c.dnu[:, None],
-                    avg * eps * c.sign * face.w * r.dnu[:, None],
+                    -avg * problem.eps * r.sign * face.w * c.dnu[:, None],
+                    avg * problem.eps * c.sign * face.w * r.dnu[:, None],
                     r.sign * c.sign * w_r])
                 block = weights @ face_products(k, nq, r.side, c.side)
                 # one offset per batch, and no element twice in a batch

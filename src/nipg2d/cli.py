@@ -155,21 +155,20 @@ def run_study(config):
     for k in config.k_list:
         sigma = config.sigma_for(k)
         for eps in config.eps_list:
+            problem = problems.boundary_layer_problem(eps)
             chain = []
             for n in config.n_list_for(k):
                 t0 = time.perf_counter()
-                problem = problems.boundary_layer_problem(eps)
                 mcfg = mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
                                        beta1=config.beta1, beta2=config.beta2)
                 grid = mesh.build_mesh(mcfg)
                 edges = mesh.classify_edges(grid)
                 dofmap = assembly.DofMap(k=k, n=n)
-                system = assembly.assemble(grid, edges, dofmap, problem, eps,
+                system = assembly.assemble(grid, edges, dofmap, problem,
                                            dirichlet=config.dirichlet)
                 x, report = solver.solve(system, config.solver)
                 u_h = assembly.DGFunction(grid, dofmap, x)
-                record = analysis.supercloseness_error(u_h, edges, problem,
-                                                       eps)
+                record = analysis.supercloseness_error(u_h, edges, problem)
                 wall_ms = (time.perf_counter() - t0) * 1000.0
                 chain.append(StudyRow(
                     k=k, eps=eps, n=n, dofs=record.dofs,
@@ -448,6 +447,10 @@ def main(argv=None):
         file_values = (_parse_config_file(args.config)
                        if args.config else {})
         config = build_config(file_values, args)
+        config.validate()
+        # an unwritable output path fails here, before any cell is solved
+        for path in filter(None, (config.out_csv, config.out_md)):
+            open(path, "a", encoding="utf-8").close()
         report = run_study(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -465,9 +468,8 @@ def main(argv=None):
         sys.stdout.write(csv_text)
 
     for row in report.degraded:
-        reason = row.message or f"relative residual {row.residual:.3e}"
         print(f"warning: solve k={row.k} eps={row.eps} N={row.n} missed the "
-              f"tolerance: {reason}", file=sys.stderr)
+              f"tolerance: {row.message}", file=sys.stderr)
     return 2 if report.degraded else 0
 
 

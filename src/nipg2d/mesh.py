@@ -141,7 +141,7 @@ def build_mesh(config):
         If eps > 1/N, outside the singularly perturbed regime the mesh
         is designed for (the mesh is still built).
     """
-    n, eps = config.n, config.eps
+    n = config.n
     if n < 8 or n % 2 != 0:
         raise ValueError(f"mesh needs an even cell count N >= 8, got N={n}")
     return _build_unchecked(config)
@@ -171,12 +171,10 @@ def _build_unchecked(config):
     lam_y = min(0.5, sigma * eps * math.log(n) / beta2)
     x_pts = _band_points(lam_x, n)
     y_pts = _band_points(lam_y, n)
-    for pts in (x_pts, y_pts):
-        pts.flags.writeable = False
     h_x = np.diff(x_pts)
     h_y = np.diff(y_pts)
-    h_x.flags.writeable = False
-    h_y.flags.writeable = False
+    for values in (x_pts, y_pts, h_x, h_y):
+        values.flags.writeable = False
     return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts, h_x, h_y)
 
 

@@ -11,7 +11,8 @@ closed-form solution
 
 The solution has exponential boundary layers along x = 1 and y = 1, which
 is exactly the regime the two-band meshes of :mod:`nipg2d.mesh` resolve
-(beta1 = 2, beta2 = 3 match the layer exponents).
+(beta1 = 2, beta2 = 3 match the layer exponents).  The problem carries
+its eps, which the assembly and the norms read from it.
 """
 
 import numpy as np
@@ -36,14 +37,12 @@ def boundary_layer_problem(eps):
     Parameters
     ----------
     eps : float
-        Diffusion parameter, 0 < eps <= 1.
+        Diffusion parameter, 0 < eps <= 1; ``ProblemData.eps``.
 
     Returns
     -------
     ProblemData
     """
-    if eps <= 0:
-        raise ValueError(f"diffusion parameter must be positive, got {eps}")
 
     def xfactor(x):
         t1 = (1.0 - x) / eps
@@ -56,9 +55,8 @@ def boundary_layer_problem(eps):
         return np.sin(2.0 * y) * (1.0 - e2), t2, e2
 
     def u(x, y):
-        gx, _, _ = xfactor(np.asarray(x, dtype=float))
-        wy, _, _ = yfactor(np.asarray(y, dtype=float))
-        return gx * wy
+        return (xfactor(np.asarray(x, dtype=float))[0]
+                * yfactor(np.asarray(y, dtype=float))[0])
 
     def f(x, y):
         x = np.asarray(x, dtype=float)
@@ -74,6 +72,7 @@ def boundary_layer_problem(eps):
         return wy * xpart + gx * ypart + gx * wy
 
     return ProblemData(
+        eps=eps,
         b1=lambda x, y: 3.0 - np.asarray(x, dtype=float),
         b2=lambda x, y: 4.0 - np.asarray(y, dtype=float),
         div_b=lambda x, y: np.full(np.shape(x), -2.0),

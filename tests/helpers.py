@@ -53,7 +53,7 @@ def make_case(k, n, eps, sigma=None, dirichlet="weak"):
     grid = make_mesh(n, eps, sigma)
     edges = classify_edges(grid)
     dofmap = DofMap(k=k, n=n)
-    system = assemble(grid, edges, dofmap, problem, eps, dirichlet=dirichlet)
+    system = assemble(grid, edges, dofmap, problem, dirichlet=dirichlet)
     return SimpleNamespace(k=k, n=n, eps=eps, sigma=sigma, problem=problem,
                            mesh=grid, edges=edges, dofmap=dofmap,
                            system=system)
@@ -65,7 +65,7 @@ def solve_case(k, n, eps, sigma=None, dirichlet="weak"):
     case = make_case(k, n, eps, sigma, dirichlet)
     x, report = solve(case.system, SolverConfig(method="direct"))
     u_h = DGFunction(case.mesh, case.dofmap, x)
-    record = supercloseness_error(u_h, case.edges, case.problem, eps)
+    record = supercloseness_error(u_h, case.edges, case.problem)
     return SimpleNamespace(case=case, u_h=u_h, report=report, record=record)
 
 

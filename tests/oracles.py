@@ -104,10 +104,10 @@ def _all_edges(mesh):
             yield ("h", line, cell)
 
 
-def dense_bilinear_matrix(mesh, dofmap, problem, eps, nq=10,
-                          dirichlet="weak"):
+def dense_bilinear_matrix(mesh, dofmap, problem, nq=10, dirichlet="weak"):
     """Dense matrix of the discrete bilinear form, assembled by plain
     loops over elements and edges."""
+    eps = problem.eps
     n = mesh.config.n
     k = dofmap.k
     ndl = dofmap.ndof_local
@@ -280,12 +280,13 @@ def dense_load_vector(mesh, dofmap, problem, nq=10):
     return rhs
 
 
-def energy_components_bruteforce(v, problem, eps, nq=10):
+def energy_components_bruteforce(v, problem, nq=10):
     """Energy-norm pieces of a discrete function by plain loops.
 
     Returns a dict with the same keys as the library's component
     breakdown: grad, reaction, penalty, inflow_outflow.
     """
+    eps = problem.eps
     mesh = v.mesh
     dofmap = v.dofmap
     n = mesh.config.n

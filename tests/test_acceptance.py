@@ -154,7 +154,7 @@ class TestAcceptance:
                     coeffs = random_dg_coefficients(rng, case.dofmap)
                     quad_form = float(coeffs @ (a @ coeffs))
                     norm_sq = energy_norm(as_dg(case, coeffs), case.edges,
-                                          case.problem, eps).value ** 2
+                                          case.problem).value ** 2
                     worst = min(worst, (quad_form - norm_sq) / norm_sq)
         ok = worst >= -1e-9
         verdict(5, "coercivity",
@@ -173,16 +173,16 @@ class TestAcceptance:
         edges = classify_edges(mesh)
         dofmap = DofMap(k=1, n=2)
         problem = boundary_layer_problem(eps)
-        system = assemble(mesh, edges, dofmap, problem, eps)
-        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem, eps)
+        system = assemble(mesh, edges, dofmap, problem)
+        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem)
         matrix_gap = np.abs(system.matrix.toarray() - dense).max()
 
         rng = np.random.default_rng(77)
         coeffs = rng.standard_normal(dofmap.total_dofs)
         from nipg2d import DGFunction
         v = DGFunction(mesh, dofmap, coeffs)
-        parts = energy_norm(v, edges, problem, eps).as_dict()
-        expected = oracles.energy_components_bruteforce(v, problem, eps)
+        parts = energy_norm(v, edges, problem).as_dict()
+        expected = oracles.energy_components_bruteforce(v, problem)
         comp_gap = max(
             abs(parts[key] - expected[key]) / abs(expected[key])
             for key in parts)
@@ -246,7 +246,7 @@ class TestAcceptance:
         gaps["projection-moments"] = (moment, 1e-11)
 
         # (d) e_IN vanishes when u_h is the interpolant itself
-        rec = supercloseness_error(v, case.edges, case.problem, case.eps)
+        rec = supercloseness_error(v, case.edges, case.problem)
         gaps["self-distance"] = (rec.e_in, 0.0)
 
         ok = all(value <= max(tol, 0.0) for value, tol in gaps.values())
@@ -259,14 +259,14 @@ class TestAcceptance:
         run = solve_case(k=1, n=8, eps=1e-4)
         other_edges = oracles.reversed_edges(case.edges)
         other = assemble(case.mesh, other_edges, case.dofmap,
-                         case.problem, eps=case.eps)
+                         case.problem)
         diff = (case.system.matrix - other.matrix).tocoo()
         entry_gap = np.abs(diff.data).max() if diff.nnz else 0.0
 
         from nipg2d import solve
         x, _ = solve(other)
         rec = supercloseness_error(as_dg(case, x), other_edges,
-                                   case.problem, case.eps)
+                                   case.problem)
         e_gap = abs(rec.e_in - run.record.e_in) / run.record.e_in
         ok = entry_gap <= 1e-14 and e_gap <= 1e-12
         verdict(8, "numbering-invariance",
@@ -308,11 +308,10 @@ class TestAcceptance:
             case = make_case(k=1, n=n, eps=eps)
             edges = dataclasses.replace(case.edges,
                                         rho=np.ones_like(case.edges.rho))
-            system = assemble(case.mesh, edges, case.dofmap, case.problem,
-                              eps)
+            system = assemble(case.mesh, edges, case.dofmap, case.problem)
             x, _ = solve(system)
             record = supercloseness_error(as_dg(case, x), edges,
-                                          case.problem, eps)
+                                          case.problem)
             constants.append(supercloseness_constant(1, n, record.e_in))
         growth = constants[-1] / constants[0]
         ok = growth >= 1.5

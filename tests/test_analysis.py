@@ -1,5 +1,7 @@
 """Tests for interpolation operators, the energy norm, and error records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nipg2d.analysis import (
     interpolate_vee_global,
     supercloseness_error,
 )
-from nipg2d.assembly import ProblemData, assemble
+from nipg2d.assembly import assemble
 from nipg2d.felib import reference_tables
 from nipg2d.mesh import NO_ELEMENT
 from nipg2d.solver import solve
@@ -128,7 +130,7 @@ class TestEnergyNorm:
     def test_zero_function_has_zero_norm(self):
         case = make_case(k=1, n=8, eps=1e-3)
         v = as_dg(case, np.zeros(case.dofmap.total_dofs))
-        parts = energy_norm(v, case.edges, case.problem, case.eps)
+        parts = energy_norm(v, case.edges, case.problem)
         assert parts.value == 0.0
         assert all(x == 0.0 for x in parts.as_dict().values())
 
@@ -137,7 +139,7 @@ class TestEnergyNorm:
         case = make_case(k=2, n=8, eps=1e-3)
         v = interpolate_vee_global(lambda x, y: np.sin(3 * x) * y,
                                    case.mesh, case.dofmap)
-        parts = energy_norm(v, case.edges, case.problem, case.eps)
+        parts = energy_norm(v, case.edges, case.problem)
         l2 = broken_l2_error(lambda x, y: np.zeros_like(x), v)
         assert parts.reaction == pytest.approx(2.0 * l2 ** 2, rel=1e-12)
 
@@ -150,9 +152,8 @@ class TestEnergyNorm:
         else:
             coeffs = random_dg_coefficients(RNG, case.dofmap)
         v = as_dg(case, coeffs)
-        parts = energy_norm(v, case.edges, case.problem, case.eps)
-        expected = oracles.energy_components_bruteforce(
-            v, case.problem, case.eps)
+        parts = energy_norm(v, case.edges, case.problem)
+        expected = oracles.energy_components_bruteforce(v, case.problem)
         for key, value in parts.as_dict().items():
             assert value == pytest.approx(expected[key], rel=1e-12,
                                           abs=1e-15), key
@@ -162,8 +163,8 @@ class TestEnergyNorm:
         coeffs = random_dg_coefficients(RNG, case.dofmap)
         v = as_dg(case, coeffs)
         w = as_dg(case, -2.5 * coeffs)
-        nv = energy_norm(v, case.edges, case.problem, case.eps).value
-        nw = energy_norm(w, case.edges, case.problem, case.eps).value
+        nv = energy_norm(v, case.edges, case.problem).value
+        nw = energy_norm(w, case.edges, case.problem).value
         assert nw == pytest.approx(2.5 * nv, rel=1e-12)
 
     def test_triangle_inequality(self):
@@ -171,26 +172,20 @@ class TestEnergyNorm:
         for _ in range(50):
             a = random_dg_coefficients(RNG, case.dofmap)
             b = random_dg_coefficients(RNG, case.dofmap)
-            na = energy_norm(as_dg(case, a), case.edges, case.problem,
-                             case.eps).value
-            nb = energy_norm(as_dg(case, b), case.edges, case.problem,
-                             case.eps).value
-            nab = energy_norm(as_dg(case, a + b), case.edges, case.problem,
-                              case.eps).value
+            na = energy_norm(as_dg(case, a), case.edges, case.problem).value
+            nb = energy_norm(as_dg(case, b), case.edges, case.problem).value
+            nab = energy_norm(as_dg(case, a + b), case.edges,
+                              case.problem).value
             assert nab <= na + nb + 1e-10
 
     def test_negative_reaction_measure_is_rejected(self):
         case = make_case(k=1, n=8, eps=1e-3)
-        bad = ProblemData(
-            b1=case.problem.b1,
-            b2=case.problem.b2,
-            div_b=lambda x, y: np.zeros_like(x),
-            c=lambda x, y: -np.ones_like(x),
-            f=case.problem.f,
-        )
+        bad = dataclasses.replace(case.problem,
+                                  div_b=lambda x, y: np.zeros_like(x),
+                                  c=lambda x, y: -np.ones_like(x))
         v = as_dg(case, random_dg_coefficients(RNG, case.dofmap))
         with pytest.raises(ValueError, match="negative"):
-            energy_norm(v, case.edges, bad, case.eps)
+            energy_norm(v, case.edges, bad)
 
 
 class TestErrorRecord:
@@ -207,7 +202,7 @@ class TestErrorRecord:
         case = make_case(k=1, n=8, eps=1e-3)
         u_h = interpolate_vee_global(case.problem.exact,
                                      case.mesh, case.dofmap)
-        rec = supercloseness_error(u_h, case.edges, case.problem, case.eps)
+        rec = supercloseness_error(u_h, case.edges, case.problem)
         assert rec.e_in == 0.0
         assert rec.e_pi > 0.0  # composite differs on the coarse region
 
@@ -215,28 +210,22 @@ class TestErrorRecord:
         # c - div(b)/2 = 0.15 - (0.1 + 0.2)/2 = -2.8e-17: assemble accepts
         # it, so the error record must too
         case = make_case(k=1, n=8, eps=1e-3)
-        problem = ProblemData(
-            b1=case.problem.b1, b2=case.problem.b2,
-            div_b=lambda x, y: np.full_like(x, 0.1 + 0.2),
-            c=lambda x, y: np.full_like(x, 0.15),
-            f=case.problem.f, exact=case.problem.exact)
-        system = assemble(case.mesh, case.edges, case.dofmap, problem,
-                          case.eps)
+        problem = dataclasses.replace(
+            case.problem, div_b=lambda x, y: np.full_like(x, 0.1 + 0.2),
+            c=lambda x, y: np.full_like(x, 0.15))
+        system = assemble(case.mesh, case.edges, case.dofmap, problem)
         x, report = solve(system)
         assert report.converged
-        rec = supercloseness_error(as_dg(case, x), case.edges, problem,
-                                   case.eps)
+        rec = supercloseness_error(as_dg(case, x), case.edges, problem)
         assert rec.components["reaction"] == 0.0
         assert np.isfinite(rec.e_in) and rec.e_in > 0.0
 
     def test_missing_exact_solution_is_rejected(self):
         case = make_case(k=1, n=8, eps=1e-3)
-        anon = ProblemData(b1=case.problem.b1, b2=case.problem.b2,
-                           div_b=case.problem.div_b, c=case.problem.c,
-                           f=case.problem.f)
+        anon = dataclasses.replace(case.problem, exact=None)
         v = as_dg(case, np.zeros(case.dofmap.total_dofs))
         with pytest.raises(ValueError, match="exact"):
-            supercloseness_error(v, case.edges, anon, case.eps)
+            supercloseness_error(v, case.edges, anon)
 
 
 class TestConvergenceRates:

@@ -169,14 +169,16 @@ class TestInflowOutflowSplit:
                 assert outflow == ("right", "top")
 
     def test_sign_change_within_a_side_is_rejected(self):
-        mesh = make_mesh(8, 0.4, 2.5, beta1=1.0, beta2=1.0)  # near-uniform
         problem = ProblemData(
+            eps=0.4,
             b1=lambda x, y: np.ones_like(x),
             b2=lambda x, y: x - 0.2,  # changes sign along horizontal sides
             div_b=lambda x, y: np.zeros_like(x),
             c=lambda x, y: np.ones_like(x),
             f=lambda x, y: np.zeros_like(x),
         )
+        # eps = 0.4 makes the mesh near-uniform
+        mesh = make_mesh(8, problem.eps, 2.5, beta1=1.0, beta2=1.0)
         i = int(np.searchsorted(mesh.x_pts, 0.2) - 1)  # cell straddling 0.2
         with pytest.raises(ValueError, match="changes sign"):
             inflow_outflow_split(mesh, problem, i, 0)
@@ -193,13 +195,13 @@ class TestMatrixOracle:
     def test_two_cell_mesh_matches_dense_reference(self, k, n):
         import oracles
 
-        mesh = make_mesh(n, 0.05, 2.5)
-        dofmap = DofMap(k=k, n=n)
         problem = boundary_layer_problem(0.05)
-        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem, eps=0.05)
+        mesh = make_mesh(n, problem.eps, 2.5)
+        dofmap = DofMap(k=k, n=n)
+        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem)
         standard = classify_edges(mesh)
         for edges in (standard, reversed_edges(standard)):
-            matrix = assemble(mesh, edges, dofmap, problem, eps=0.05).matrix
+            matrix = assemble(mesh, edges, dofmap, problem).matrix
             assert matrix.has_canonical_format
             assert matrix.indices.dtype == np.int32
             np.testing.assert_allclose(matrix.toarray(), dense,
@@ -209,13 +211,12 @@ class TestMatrixOracle:
     def test_two_cell_mesh_strong_mode_matches_dense_reference(self, k):
         import oracles
 
-        mesh = make_mesh(2, 0.05, 2.5)
+        problem = boundary_layer_problem(0.05)
+        mesh = make_mesh(2, problem.eps, 2.5)
         edges = classify_edges(mesh)
         dofmap = DofMap(k=k, n=2)
-        problem = boundary_layer_problem(0.05)
-        system = assemble(mesh, edges, dofmap, problem, eps=0.05,
-                          dirichlet="strong")
-        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem, eps=0.05,
+        system = assemble(mesh, edges, dofmap, problem, dirichlet="strong")
+        dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem,
                                               dirichlet="strong")
         bdofs = boundary_dofs(mesh, dofmap)
         interior = np.setdiff1d(np.arange(dofmap.total_dofs), bdofs)
@@ -233,31 +234,33 @@ class TestMatrixOracle:
     def test_load_vector_matches_dense_reference(self):
         import oracles
 
-        mesh = make_mesh(2, 0.05, 2.5)
-        edges = classify_edges(mesh)
-        dofmap = DofMap(k=1, n=2)
         # Low-degree polynomial data: both quadratures integrate exactly.
         problem = ProblemData(
+            eps=0.05,
             b1=lambda x, y: 3.0 - x,
             b2=lambda x, y: 4.0 - y,
             div_b=lambda x, y: -2.0 * np.ones_like(x),
             c=lambda x, y: np.ones_like(x),
             f=lambda x, y: 1.0 + 2.0 * x + 3.0 * y + x * y,
         )
-        system = assemble(mesh, edges, dofmap, problem, eps=0.05)
+        mesh = make_mesh(2, problem.eps, 2.5)
+        edges = classify_edges(mesh)
+        dofmap = DofMap(k=1, n=2)
+        system = assemble(mesh, edges, dofmap, problem)
         dense = oracles.dense_load_vector(mesh, dofmap, problem)
         np.testing.assert_allclose(system.rhs, dense, atol=1e-12, rtol=0.0)
 
     def test_trivial_problem_assembles_zero_load(self):
         # b = (1, 1), c = 0, f = 0 is admissible (c - div b / 2 = 0) and
         # produces the zero solution.
-        mesh = make_mesh(8, 1e-2, 2.5, beta1=1.0, beta2=1.0)
-        edges = classify_edges(mesh)
-        dofmap = DofMap(k=1, n=8)
         one = lambda x, y: np.ones_like(x)
         zero = lambda x, y: np.zeros_like(x)
-        problem = ProblemData(b1=one, b2=one, div_b=zero, c=zero, f=zero)
-        system = assemble(mesh, edges, dofmap, problem, eps=1e-2)
+        problem = ProblemData(eps=1e-2, b1=one, b2=one, div_b=zero, c=zero,
+                              f=zero)
+        mesh = make_mesh(8, problem.eps, 2.5, beta1=1.0, beta2=1.0)
+        edges = classify_edges(mesh)
+        dofmap = DofMap(k=1, n=8)
+        system = assemble(mesh, edges, dofmap, problem)
         assert np.all(system.rhs == 0.0)
         sol = splu(system.matrix.tocsc()).solve(system.rhs)
         np.testing.assert_allclose(sol, 0.0, atol=1e-14)
@@ -273,15 +276,17 @@ class TestPolynomialConsistency:
 
     @staticmethod
     def _field():
+        eps = 0.01
         u = lambda x, y: x * (1.0 - x) * y * (1.0 - y)
 
         def f(x, y):
             g, w = x * (1.0 - x), y * (1.0 - y)
             lap = -2.0 * w - 2.0 * g
             conv = (3.0 - x) * (1.0 - 2.0 * x) * w + (4.0 - y) * g * (1.0 - 2.0 * y)
-            return -0.01 * lap + conv + g * w
+            return -eps * lap + conv + g * w
 
         return ProblemData(
+            eps=eps,
             b1=lambda x, y: 3.0 - x,
             b2=lambda x, y: 4.0 - y,
             div_b=lambda x, y: -2.0 * np.ones_like(x),
@@ -293,11 +298,10 @@ class TestPolynomialConsistency:
     @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
     def test_quadratic_solution_is_exact(self, dirichlet):
         problem = self._field()
-        mesh = make_mesh(8, 0.01, 2.5)
+        mesh = make_mesh(8, problem.eps, 2.5)
         edges = classify_edges(mesh)
         dofmap = DofMap(k=2, n=8)
-        system = assemble(mesh, edges, dofmap, problem, eps=0.01,
-                          dirichlet=dirichlet)
+        system = assemble(mesh, edges, dofmap, problem, dirichlet=dirichlet)
         sol = splu(system.matrix.tocsc()).solve(system.rhs)
         expected = interpolate_vee_global(problem.exact, mesh, dofmap)
         np.testing.assert_allclose(sol, expected.coefficients, atol=1e-10)
@@ -307,7 +311,7 @@ class TestNumberingInvariance:
     def test_reversed_numbering_gives_identical_system(self):
         case = make_case(k=1, n=8, eps=1e-4)
         other = assemble(case.mesh, reversed_edges(case.edges), case.dofmap,
-                         case.problem, eps=case.eps)
+                         case.problem)
         diff = (case.system.matrix - other.matrix).tocoo()
         max_entry = np.abs(diff.data).max() if diff.nnz else 0.0
         assert max_entry <= 1e-14
@@ -325,11 +329,11 @@ class TestValidation:
         strict = make_mesh(8, 1e-3, 2.5, beta1=5.0, beta2=3.0)
         problem = boundary_layer_problem(1e-3)
         with pytest.raises(CoefficientConditionError, match="lower bounds"):
-            assemble(strict, classify_edges(strict), self.dofmap,
-                     problem, eps=1e-3)
+            assemble(strict, classify_edges(strict), self.dofmap, problem)
 
     def test_negative_reaction_measure_is_rejected(self):
         problem = ProblemData(
+            eps=1e-3,
             b1=lambda x, y: x + 1.0,
             b2=lambda x, y: y + 1.0,
             div_b=lambda x, y: 2.0 * np.ones_like(x),
@@ -338,14 +342,22 @@ class TestValidation:
         )
         relaxed = make_mesh(8, 1e-3, 2.5, beta1=1.0, beta2=1.0)
         with pytest.raises(CoefficientConditionError, match="nonnegative"):
-            assemble(relaxed, classify_edges(relaxed), self.dofmap,
-                     problem, eps=1e-3)
+            assemble(relaxed, classify_edges(relaxed), self.dofmap, problem)
 
     def test_unknown_dirichlet_mode_is_rejected(self):
         problem = boundary_layer_problem(1e-3)
         with pytest.raises(ValueError):
             assemble(self.mesh, self.edges, self.dofmap, problem,
-                     eps=1e-3, dirichlet="penalty")
+                     dirichlet="penalty")
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+    def test_diffusion_parameter_must_be_positive_and_finite(self, eps):
+        zero = lambda x, y: np.zeros_like(x)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ProblemData(eps=eps, b1=zero, b2=zero, div_b=zero, c=zero,
+                        f=zero)
+        with pytest.raises(ValueError, match="positive and finite"):
+            boundary_layer_problem(eps)
 
 
 class TestSparsityAndMetadata:
@@ -413,14 +425,14 @@ class TestSparsityAndMetadata:
     def test_peak_memory_is_a_few_csr_copies(self, k, n):
         # Blocks go to CSR via their block-CSR form; a COO round trip
         # of the same matrix peaked near 10.6x.
-        mesh = make_mesh(n, 1e-4, k + 1.5)
+        problem = boundary_layer_problem(1e-4)
+        mesh = make_mesh(n, problem.eps, k + 1.5)
         edges = classify_edges(mesh)
         dofmap = DofMap(k=k, n=n)
-        problem = boundary_layer_problem(1e-4)
-        assemble(mesh, edges, dofmap, problem, 1e-4)   # fill the table caches
+        assemble(mesh, edges, dofmap, problem)   # fill the table caches
         tracemalloc.start()
         try:
-            matrix = assemble(mesh, edges, dofmap, problem, 1e-4).matrix
+            matrix = assemble(mesh, edges, dofmap, problem).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -315,6 +315,21 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-md"])
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys,
+                                                      monkeypatch, flag):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_study", no_sweep)
+        path = tmp_path / "missing" / "t.csv"
+        code = main(["study", "--k", "1", "--eps", "1e-3", "--n", "8,16",
+                     flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
     def test_degraded_solve_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"
         cfg.write_text("k = 1\neps = 1e-3\nn = 16\nsolver = iterative\n"

@@ -4,8 +4,9 @@ hypothesis draws the degree, the mesh, eps and problem data that meet
 the standing assumptions: affine b1 >= beta1 and b2 >= beta2 on the unit
 square, a constant c with c - div(b)/2 >= 0 (at, just above or well
 above 0) and an affine load.  With such data the Gauss rules of the
-assembly and of the energy norm are exact, so both properties hold to
-round-off.  The examples are fixed by the profile in ``conftest.py``.
+assembly and of the energy norm are exact, so the properties hold to
+round-off.  Data that breaks one assumption must be rejected.  The
+examples are fixed by the profile in ``conftest.py``.
 """
 
 from types import SimpleNamespace
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nipg2d import (DGFunction, DofMap, ProblemData, assemble,
-                    classify_edges, energy_norm)
+from nipg2d import (CoefficientConditionError, DGFunction, DofMap,
+                    ProblemData, assemble, classify_edges, energy_norm)
 
 from helpers import make_mesh
-from oracles import reversed_edges
+from oracles import dense_bilinear_matrix, reversed_edges
 
 degrees = st.integers(1, 3)
 cells = st.sampled_from([2, 4, 8])
@@ -49,6 +50,24 @@ def coefficients(draw):
                            c0sq=c0sq, f=f)
 
 
+@st.composite
+def broken_coefficients(draw):
+    """Coefficients that break one standing assumption by more than the
+    1e-9 slack of the checks: b1 or b2 below its declared bound on the
+    whole square, or a negative c - div(b)/2."""
+    coeffs = draw(coefficients())
+    gap = draw(st.floats(1e-8, 1.0))
+    broken = draw(st.sampled_from(["b1", "b2", "c0sq"]))
+    if broken == "c0sq":
+        value = -gap
+    else:
+        # the maximum over the unit square sits at a corner
+        _, dx, dy = getattr(coeffs, broken)
+        beta = coeffs.beta1 if broken == "b1" else coeffs.beta2
+        value = beta - gap - max(dx, 0.0) - max(dy, 0.0), dx, dy
+    return SimpleNamespace(**{**vars(coeffs), broken: value})
+
+
 def affine(a, dx, dy):
     return lambda x, y: a + dx * x + dy * y
 
@@ -56,7 +75,8 @@ def affine(a, dx, dy):
 def discretize(k, n, eps, coeffs):
     div_b = coeffs.b1[1] + coeffs.b2[2]
     c = 0.5 * div_b + coeffs.c0sq
-    problem = ProblemData(b1=affine(*coeffs.b1), b2=affine(*coeffs.b2),
+    problem = ProblemData(eps=eps,
+                          b1=affine(*coeffs.b1), b2=affine(*coeffs.b2),
                           div_b=lambda x, y: div_b, c=lambda x, y: c,
                           f=affine(*coeffs.f))
     mesh = make_mesh(n, eps, k + 1.5, coeffs.beta1, coeffs.beta2)
@@ -68,10 +88,10 @@ def discretize(k, n, eps, coeffs):
 def test_bilinear_form_is_the_energy_norm(k, n, eps, coeffs, seed):
     """B(v, v) = |v|_E^2 with weak Dirichlet data."""
     mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
-    system = assemble(mesh, edges, dofmap, problem, eps)
+    system = assemble(mesh, edges, dofmap, problem)
     v = np.random.default_rng(seed).standard_normal(dofmap.total_dofs)
-    norm_sq = energy_norm(DGFunction(mesh, dofmap, v), edges, problem,
-                          eps).value ** 2
+    norm_sq = energy_norm(DGFunction(mesh, dofmap, v), edges,
+                          problem).value ** 2
     assert float(v @ (system.matrix @ v)) == pytest.approx(norm_sq,
                                                            rel=1e-12)
 
@@ -86,10 +106,34 @@ def test_any_swapped_subset_of_edges_gives_the_same_system(
     line to both reference sides of their plus elements."""
     mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
     subset = np.random.default_rng(seed).random(len(edges)) < 0.5
-    base = assemble(mesh, edges, dofmap, problem, eps, dirichlet)
+    base = assemble(mesh, edges, dofmap, problem, dirichlet)
     mixed = assemble(mesh, reversed_edges(edges, subset), dofmap, problem,
-                     eps, dirichlet)
+                     dirichlet)
     gap = abs(mixed.matrix - base.matrix).max()
     assert gap <= 1e-14 * abs(base.matrix).max()
     np.testing.assert_array_equal(mixed.rhs, base.rhs)
     np.testing.assert_array_equal(mixed.order, base.order)
+
+
+# the loop-based oracle takes up to 0.7 s per example at k = 3
+@settings(max_examples=12)
+@given(k=degrees, eps=eps_values, coeffs=coefficients())
+def test_matrix_matches_the_dense_oracle(k, eps, coeffs):
+    """At N = 2 with weak Dirichlet data, the assembled matrix is the
+    loop-based oracle's to 1e-12 of its largest entry."""
+    mesh, edges, dofmap, problem = discretize(k, 2, eps, coeffs)
+    dense = dense_bilinear_matrix(mesh, dofmap, problem)
+    matrix = assemble(mesh, edges, dofmap, problem).matrix
+    assert abs(matrix.toarray() - dense).max() <= 1e-12 * abs(dense).max()
+
+
+@settings(max_examples=100)
+@given(k=degrees, n=cells, eps=eps_values, coeffs=broken_coefficients())
+def test_data_that_breaks_an_assumption_is_rejected(k, n, eps, coeffs):
+    """Both the assembly and the energy norm reject the problem."""
+    mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
+    with pytest.raises(CoefficientConditionError):
+        assemble(mesh, edges, dofmap, problem)
+    v = DGFunction(mesh, dofmap, np.zeros(dofmap.total_dofs))
+    with pytest.raises(CoefficientConditionError):
+        energy_norm(v, edges, problem)

@@ -150,7 +150,7 @@ class TestOrdering:
             assert report.converged
             records.append(supercloseness_error(
                 DGFunction(case.mesh, case.dofmap, x), case.edges,
-                case.problem, case.eps))
+                case.problem))
         ordered, plain = records
         for name in ("e_in", "e_pi", "e_l2"):
             assert getattr(ordered, name) == pytest.approx(
@@ -259,7 +259,7 @@ class TestOrdering:
             assert report.converged
             records.append(supercloseness_error(
                 DGFunction(case.mesh, case.dofmap, x), case.edges,
-                case.problem, case.eps))
+                case.problem))
         ordered, plain = records
         for name in ("e_in", "e_pi", "e_l2"):
             assert getattr(ordered, name) == pytest.approx(
@@ -277,7 +277,7 @@ class TestOrdering:
         gc.collect()
         gc.disable()
         try:
-            system = assemble(grid, edges, DofMap(k=1, n=8), problem, eps)
+            system = assemble(grid, edges, DofMap(k=1, n=8), problem)
             for config in configs:
                 solve(system, config)
             solve(unordered(system))
