@@ -8,8 +8,7 @@ The energy norm of a broken function v is
                             + |v+ - v-|^2 on interior inflow faces
                             + |v+|^2 on outflow-boundary faces ),
 
-where c0^2 = c - div(b)/2 and the face seminorms carry the weight |b . n|
-(eps and the coefficients are the problem's; see ``ProblemData``).
+where c0^2 = c - div(b)/2 and the face seminorms carry the weight |b . n|.
 For componentwise positive convection fields every interior edge is the
 inflow face of exactly one element (the one on its +x / +y side), so each
 interior edge contributes exactly one |b . n|-weighted jump term.

@@ -94,8 +94,8 @@ class StudyConfig:
                     f"k={k}; the fine bands would be too narrow for the "
                     "interpolant to track the layers")
             ns = self.n_list_for(k)
-            if not ns:
-                raise ValueError("config must list at least one mesh size n")
+            if not ns or ns[0] < 8 or ns[0] % 2:
+                raise ValueError(f"n must start at an even N >= 8, got {ns}")
             for a, b in zip(ns, ns[1:]):
                 if b != 2 * a:
                     raise ValueError(

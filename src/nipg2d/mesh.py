@@ -171,10 +171,12 @@ def _build_unchecked(config):
     lam_y = min(0.5, sigma * eps * math.log(n) / beta2)
     x_pts = _band_points(lam_x, n)
     y_pts = _band_points(lam_y, n)
+    for pts in (x_pts, y_pts):
+        pts.flags.writeable = False
     h_x = np.diff(x_pts)
     h_y = np.diff(y_pts)
-    for values in (x_pts, y_pts, h_x, h_y):
-        values.flags.writeable = False
+    h_x.flags.writeable = False
+    h_y.flags.writeable = False
     return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts, h_x, h_y)
 
 

@@ -11,8 +11,7 @@ closed-form solution
 
 The solution has exponential boundary layers along x = 1 and y = 1, which
 is exactly the regime the two-band meshes of :mod:`nipg2d.mesh` resolve
-(beta1 = 2, beta2 = 3 match the layer exponents).  The problem carries
-its eps, which the assembly and the norms read from it.
+(beta1 = 2, beta2 = 3 match the layer exponents).
 """
 
 import numpy as np
@@ -55,8 +54,9 @@ def boundary_layer_problem(eps):
         return np.sin(2.0 * y) * (1.0 - e2), t2, e2
 
     def u(x, y):
-        return (xfactor(np.asarray(x, dtype=float))[0]
-                * yfactor(np.asarray(y, dtype=float))[0])
+        gx, _, _ = xfactor(np.asarray(x, dtype=float))
+        wy, _, _ = yfactor(np.asarray(y, dtype=float))
+        return gx * wy
 
     def f(x, y):
         x = np.asarray(x, dtype=float)

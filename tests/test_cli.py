@@ -142,6 +142,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="Dirichlet"):
             small_config(dirichlet="penalty").validate()
 
+    @pytest.mark.parametrize("n_list", [(4, 8), (9, 18)])
+    def test_mesh_sequence_must_start_at_an_even_n_of_8(self, n_list):
+        # rejected before main probes the output paths, not by build_mesh
+        # in the first cell
+        with pytest.raises(ValueError, match="even N >= 8"):
+            small_config(n_list=n_list).validate()
+
     def test_empty_lists_are_rejected(self):
         with pytest.raises(ValueError):
             small_config(k_list=()).validate()
