@@ -119,7 +119,7 @@ def energy_norm(v, edges, problem):
 
     # volume parts
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    *_, c0sq = _coefficients(problem, mesh.config, x_q, y_q)
+    c0sq = _coefficients(problem, mesh.config, x_q, y_q)[3]
     vals = coeffs @ tab.vals                     # (ne, nq^2)
     gx = (coeffs @ tab.gx) * (2.0 / hx)[:, None]
     gy = (coeffs @ tab.gy) * (2.0 / hy)[:, None]

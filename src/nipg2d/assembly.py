@@ -239,10 +239,10 @@ _SLACK = 1e-9                  # round-off allowance of the coefficient checks
 
 
 def _coefficients(problem, config, x, y):
-    """b1, b2, c and the reaction weight c0^2 = c - div(b)/2 clipped at 0,
-    sampled at ``(x, y)``.  Raises :class:`CoefficientConditionError` if
-    b1 or b2 drops below the mesh's bound ``config.beta1`` or
-    ``config.beta2``, or c0^2 below 0, by more than 1e-9 (round-off)."""
+    """b1, b2, c and c0^2 = c - div(b)/2 clipped at 0, sampled at
+    ``(x, y)``; callers keep what they use, so the rest is freed at once.
+    Raises :class:`CoefficientConditionError` if b1 or b2 is below
+    ``config.beta1`` or ``config.beta2``, or c0^2 below 0, beyond 1e-9."""
     b1, b2 = _sample(problem.b1, x, y), _sample(problem.b2, x, y)
     if b1.min() < config.beta1 - _SLACK or b2.min() < config.beta2 - _SLACK:
         raise CoefficientConditionError(
@@ -298,7 +298,7 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
 
     # ---- element volumes -------------------------------------------------
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
-    b1_q, b2_q, c_q, _ = _coefficients(problem, mesh.config, x_q, y_q)
+    b1_q, b2_q, c_q = _coefficients(problem, mesh.config, x_q, y_q)[:3]
 
     kxx = np.einsum("q,mq,nq->mn", tab.w2, tab.gx, tab.gx)
     kyy = np.einsum("q,mq,nq->mn", tab.w2, tab.gy, tab.gy)
