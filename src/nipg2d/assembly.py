@@ -38,6 +38,10 @@ from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
 from .mesh import NO_ELEMENT
 
 
+#: values of :func:`assemble`'s ``dirichlet`` argument
+DIRICHLET_MODES = ("weak", "strong")
+
+
 class CoefficientConditionError(ValueError):
     """Raised when sampled coefficients violate the standing assumptions
     (componentwise positive convection, nonnegative c - div(b)/2)."""
@@ -285,7 +289,7 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     k = dofmap.k
     if dofmap.n != n:
         raise ValueError(f"dofmap is for N={dofmap.n}, mesh has N={n}")
-    if dirichlet not in ("weak", "strong"):
+    if dirichlet not in DIRICHLET_MODES:
         raise ValueError(f"unknown Dirichlet mode: {dirichlet!r}")
 
     nq = k + 2

@@ -81,16 +81,17 @@ class StudyConfig:
             ) from None
 
     def validate(self):
+        """Check the study's own policy, then construct the MeshConfig and
+        DofMap of every cell, which check their own parameters."""
         if not self.k_list:
             raise ValueError("config must list at least one degree k")
         if not self.eps_list:
             raise ValueError("config must list at least one eps")
         for k in self.k_list:
-            if k < 1:
-                raise ValueError(f"polynomial degree must be >= 1, got {k}")
-            if self.sigma is not None and self.sigma < k + 0.5:
+            sigma = self.sigma_for(k)
+            if sigma < k + 0.5:
                 raise ValueError(
-                    f"sigma={self.sigma} is below k + 1/2 = {k + 0.5} for "
+                    f"sigma={sigma} is below k + 1/2 = {k + 0.5} for "
                     f"k={k}; the fine bands would be too narrow for the "
                     "interpolant to track the layers")
             ns = self.n_list_for(k)
@@ -100,10 +101,12 @@ class StudyConfig:
                 if b != 2 * a:
                     raise ValueError(
                         f"mesh sequence must double: got {a} then {b}")
-        for e in self.eps_list:
-            if e <= 0:
-                raise ValueError(f"eps must be positive, got {e}")
-        if self.dirichlet not in ("weak", "strong"):
+            for n in ns:
+                assembly.DofMap(k=k, n=n)
+                for eps in self.eps_list:
+                    mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
+                                    beta1=self.beta1, beta2=self.beta2)
+        if self.dirichlet not in assembly.DIRICHLET_MODES:
             raise ValueError(f"unknown Dirichlet mode: {self.dirichlet!r}")
 
 

@@ -60,19 +60,21 @@ def penalty_weight(edge_type, n):
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Parameters defining a boundary-layer mesh.
+    """Parameters defining a boundary-layer mesh; construction raises
+    ValueError unless N is even and >= 2 and every float is positive and
+    finite.
 
     Attributes
     ----------
     n : int
-        Cells per direction; even and >= 8.
+        Cells per direction.
     eps : float
-        Singular perturbation parameter, 0 < eps <= 1.
+        Singular perturbation parameter; :func:`build_mesh` warns if > 1/N.
     sigma : float
         Transition-point constant (larger sigma widens the fine bands).
     beta1, beta2 : float
-        Positive componentwise lower bounds of the convection field,
-        entering the transition points in the x and y direction.
+        Componentwise lower bounds of the convection field, entering the
+        transition points in the x and y direction.
     """
 
     n: int
@@ -80,6 +82,18 @@ class MeshConfig:
     sigma: float
     beta1: float
     beta2: float
+
+    def __post_init__(self):
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError(
+                f"cell count must be even and >= 2, got N={self.n}")
+        # NaN fails these tests too: min() would turn it into lambda = 1/2;
+        # an infinite beta would give zero-width cells
+        for name in ("eps", "sigma", "beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -104,6 +118,10 @@ class ShishkinMesh:
     y_pts: np.ndarray
     h_x: np.ndarray
     h_y: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.x_pts, self.y_pts, self.h_x, self.h_y):
+            arr.flags.writeable = False
 
     @property
     def n_elements(self):
@@ -131,9 +149,8 @@ def build_mesh(config):
 
     Raises
     ------
-    ValueError
-        If N is odd or < 8, or eps/sigma/beta1/beta2 are not positive
-        and finite.
+    None
+        :class:`MeshConfig` has already rejected every invalid value.
 
     Warns
     -----
@@ -141,43 +158,18 @@ def build_mesh(config):
         If eps > 1/N, outside the singularly perturbed regime the mesh
         is designed for (the mesh is still built).
     """
-    n = config.n
-    if n < 8 or n % 2 != 0:
-        raise ValueError(f"mesh needs an even cell count N >= 8, got N={n}")
-    return _build_unchecked(config)
-
-
-def _build_unchecked(config):
-    """Build without the N-bound check (used by small oracle problems);
-    all positivity checks and geometric invariants still apply."""
     n, eps, sigma = config.n, config.eps, config.sigma
-    beta1, beta2 = config.beta1, config.beta2
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"cell count must be even and >= 2, got N={n}")
-    # NaN fails these tests too: min() would turn it into lambda = 1/2; an
-    # infinite beta would give zero-width cells
-    for name in ("eps", "sigma", "beta1", "beta2"):
-        value = getattr(config, name)
-        if not 0 < value < math.inf:
-            raise ValueError(
-                f"{name} must be positive and finite, got {value}")
     if eps > 1.0 / n:
         warnings.warn(
             f"eps={eps} exceeds 1/N={1.0 / n}; the two-band mesh targets the "
-            "layer-dominated regime eps <= 1/N", UserWarning,
-            stacklevel=3)                 # the caller of build_mesh
+            "layer-dominated regime eps <= 1/N", UserWarning, stacklevel=2)
 
-    lam_x = min(0.5, sigma * eps * math.log(n) / beta1)
-    lam_y = min(0.5, sigma * eps * math.log(n) / beta2)
+    lam_x = min(0.5, sigma * eps * math.log(n) / config.beta1)
+    lam_y = min(0.5, sigma * eps * math.log(n) / config.beta2)
     x_pts = _band_points(lam_x, n)
     y_pts = _band_points(lam_y, n)
-    for pts in (x_pts, y_pts):
-        pts.flags.writeable = False
-    h_x = np.diff(x_pts)
-    h_y = np.diff(y_pts)
-    h_x.flags.writeable = False
-    h_y.flags.writeable = False
-    return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts, h_x, h_y)
+    return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts,
+                        np.diff(x_pts), np.diff(y_pts))
 
 
 #: ``EdgeSet.minus`` entry of a boundary edge, which has no minus side

@@ -23,18 +23,15 @@ from nipg2d import (
     solve,
     supercloseness_error,
 )
-from nipg2d import mesh as mesh_mod
 
 
 def make_mesh(n, eps, sigma, beta1=2.0, beta2=3.0):
-    """Build a two-band mesh; small n (below the public minimum of 8)
-    goes through the unchecked constructor used for oracle meshes."""
+    """Build a two-band mesh, with the eps > 1/N warning silenced (small
+    oracle meshes use N = 2 and 4)."""
     cfg = MeshConfig(n=n, eps=eps, sigma=sigma, beta1=beta1, beta2=beta2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if n >= 8:
-            return build_mesh(cfg)
-        return mesh_mod._build_unchecked(cfg)
+        return build_mesh(cfg)
 
 
 def coarse_elements(mesh):

@@ -1,6 +1,7 @@
 """Tests for the study command: config handling, sweep driver, formats."""
 
 import hashlib
+import math
 import re
 import sys
 from types import SimpleNamespace
@@ -148,6 +149,18 @@ class TestValidation:
         # in the first cell
         with pytest.raises(ValueError, match="even N >= 8"):
             small_config(n_list=n_list).validate()
+
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(eps_list=(math.nan,)), "eps"),
+        (dict(eps_list=(math.inf,)), "eps"),
+        (dict(sigma=math.inf), "sigma"),
+        (dict(beta2=0.0), "beta2"),
+    ], ids=["eps-nan", "eps-inf", "sigma-inf", "beta2-zero"])
+    def test_mesh_parameters_are_rejected(self, overrides, name):
+        # the cell's MeshConfig rejects them before any mesh is built
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive and finite"):
+            small_config(**overrides).validate()
 
     def test_empty_lists_are_rejected(self):
         with pytest.raises(ValueError):
@@ -303,9 +316,11 @@ class TestMain:
         ("k = 1\nbeta2 = inf", "error: beta2: expected a finite number"),
         ("k = 1\nrel_tol = nan",
          "error: rel_tol: expected a finite number"),
+        ("k = 1\nbeta1 = -1", "error: beta1 must be positive and finite"),
+        ("k = 1\nbeta2 = 0", "error: beta2 must be positive and finite"),
     ], ids=["problem", "misspelled", "empty-value", "repeated-key",
             "empty-item", "quad-order", "sigma-nan", "beta1-nan",
-            "beta2-inf", "rel-tol-nan"])
+            "beta2-inf", "rel-tol-nan", "beta1-negative", "beta2-zero"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
                                       message):
         cfg = tmp_path / "study.cfg"

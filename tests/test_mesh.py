@@ -46,11 +46,19 @@ class TestBuildMesh:
         assert grid.x_pts[0] == 0.0
         assert grid.x_pts[-1] == 1.0
 
-    @pytest.mark.parametrize("n", [7, 9, 4, 2, 0])
+    @pytest.mark.parametrize("n", [7, 9, 0])
     def test_rejects_bad_cell_counts(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even and >= 2"):
             build_mesh(MeshConfig(n=n, eps=1e-3, sigma=2.5,
                                   beta1=2.0, beta2=3.0))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_small_even_cell_counts_build(self, n):
+        # the N >= 8 floor is a study's policy, not the mesh's
+        grid = build_mesh(MeshConfig(n=n, eps=1e-3, sigma=2.5,
+                                     beta1=2.0, beta2=3.0))
+        assert grid.x_pts.shape == grid.y_pts.shape == (n + 1,)
+        assert abs(grid.h_x.sum() - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("field,value", [
         ("eps", 0.0), ("eps", -1e-3), ("sigma", 0.0),
@@ -69,6 +77,12 @@ class TestBuildMesh:
             build_mesh(MeshConfig(n=8, eps=0.2, sigma=2.5,
                                   beta1=2.0, beta2=3.0))
         assert record[0].filename == __file__
+
+    def test_mesh_arrays_are_read_only(self):
+        grid = build_mesh(MeshConfig(n=8, eps=1e-3, sigma=2.5,
+                                     beta1=2.0, beta2=3.0))
+        for arr in (grid.x_pts, grid.y_pts, grid.h_x, grid.h_y):
+            assert not arr.flags.writeable
 
     def test_random_configurations_partition_unit_interval(self):
         rng = np.random.default_rng(2024)
