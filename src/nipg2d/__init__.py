@@ -12,7 +12,7 @@ Typical use::
     grid = build_mesh(MeshConfig(n=n, eps=eps, sigma=k + 1.5,
                                  beta1=2.0, beta2=3.0))
     edges = classify_edges(grid)      # EdgeSet: one array entry per edge
-    dofmap = DofMap(k=k, n=n)
+    dofmap = DofMap(k=k)
     system = assemble(grid, edges, dofmap, problem)
     x, report = solve(system)
     record = supercloseness_error(DGFunction(grid, dofmap, x),

@@ -49,32 +49,25 @@ class CoefficientConditionError(ValueError):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Layout of the broken-space degrees of freedom.
+    """Local layout of the degree-k degrees of freedom: (k + 1)^2 nodal
+    values per element.  The mesh supplies the element count, so one
+    DofMap serves every mesh of a degree.
 
     Attributes
     ----------
     k : int
         Polynomial degree per direction (>= 1).
-    n : int
-        Mesh cells per direction.
     """
 
     k: int
-    n: int
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"polynomial degree must be >= 1, got k={self.k}")
-        if self.n < 2:
-            raise ValueError(f"cell count must be >= 2, got N={self.n}")
 
     @property
     def ndof_local(self):
         return (self.k + 1) ** 2
-
-    @property
-    def total_dofs(self):
-        return self.n ** 2 * self.ndof_local
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ class SparseSystem:
 @dataclass
 class DGFunction:
     """A broken-space function: per-element nodal coefficients in degree
-    of freedom order."""
+    of freedom order, ``mesh.n_elements * dofmap.ndof_local`` of them."""
 
     mesh: object
     dofmap: DofMap
@@ -129,10 +122,11 @@ class DGFunction:
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.dofmap.total_dofs,):
+        size = self.mesh.n_elements * self.dofmap.ndof_local
+        if self.coefficients.shape != (size,):
             raise ValueError(
                 f"coefficient vector has shape {self.coefficients.shape}, "
-                f"expected ({self.dofmap.total_dofs},)")
+                f"expected ({size},)")
 
 
 def _sample(fn, x, y):
@@ -287,8 +281,6 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     """
     n = mesh.config.n
     k = dofmap.k
-    if dofmap.n != n:
-        raise ValueError(f"dofmap is for N={dofmap.n}, mesh has N={n}")
     if dirichlet not in DIRICHLET_MODES:
         raise ValueError(f"unknown Dirichlet mode: {dirichlet!r}")
 
@@ -347,7 +339,7 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     block_rows = bsr_matrix(
         (blocks[exists], (np.arange(ne)[:, None] + offsets)[exists],
          np.append(0, np.cumsum(exists.sum(1)))),
-        shape=(dofmap.total_dofs,) * 2)
+        shape=(ne * ndl,) * 2)
     del blocks, vol
     matrix = block_rows.tocsr()
     # neighbour blocks are exactly zero wherever neither node lies on the
@@ -460,7 +452,7 @@ def _eliminate_boundary_dofs(system, mesh, dofmap):
     """Strong homogeneous Dirichlet: identity rows/zero columns on
     boundary-node dofs."""
     bdofs = boundary_dofs(mesh, dofmap)
-    keep = np.ones(dofmap.total_dofs)
+    keep = np.ones(system.rhs.size)
     keep[bdofs] = 0.0
     a = system.matrix
     a.data *= np.repeat(keep, np.diff(a.indptr)) * keep[a.indices]

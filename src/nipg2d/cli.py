@@ -81,13 +81,15 @@ class StudyConfig:
             ) from None
 
     def validate(self):
-        """Check the study's own policy, then construct the MeshConfig and
-        DofMap of every cell, which check their own parameters."""
+        """Check the study's own policy, then construct the DofMap of
+        every degree and the MeshConfig of every cell, which check their
+        own parameters."""
         if not self.k_list:
             raise ValueError("config must list at least one degree k")
         if not self.eps_list:
             raise ValueError("config must list at least one eps")
         for k in self.k_list:
+            assembly.DofMap(k=k)
             sigma = self.sigma_for(k)
             if sigma < k + 0.5:
                 raise ValueError(
@@ -102,7 +104,6 @@ class StudyConfig:
                     raise ValueError(
                         f"mesh sequence must double: got {a} then {b}")
             for n in ns:
-                assembly.DofMap(k=k, n=n)
                 for eps in self.eps_list:
                     mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
                                     beta1=self.beta1, beta2=self.beta2)
@@ -157,6 +158,7 @@ def run_study(config):
     rows = []
     for k in config.k_list:
         sigma = config.sigma_for(k)
+        dofmap = assembly.DofMap(k=k)
         for eps in config.eps_list:
             problem = problems.boundary_layer_problem(eps)
             chain = []
@@ -166,7 +168,6 @@ def run_study(config):
                                        beta1=config.beta1, beta2=config.beta2)
                 grid = mesh.build_mesh(mcfg)
                 edges = mesh.classify_edges(grid)
-                dofmap = assembly.DofMap(k=k, n=n)
                 system = assembly.assemble(grid, edges, dofmap, problem,
                                            dirichlet=config.dirichlet)
                 x, report = solver.solve(system, config.solver)

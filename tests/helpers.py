@@ -49,10 +49,11 @@ def make_case(k, n, eps, sigma=None, dirichlet="weak"):
     problem = boundary_layer_problem(eps)
     grid = make_mesh(n, eps, sigma)
     edges = classify_edges(grid)
-    dofmap = DofMap(k=k, n=n)
+    dofmap = DofMap(k=k)
     system = assemble(grid, edges, dofmap, problem, dirichlet=dirichlet)
     return SimpleNamespace(k=k, n=n, eps=eps, sigma=sigma, problem=problem,
                            mesh=grid, edges=edges, dofmap=dofmap,
+                           dofs=grid.n_elements * dofmap.ndof_local,
                            system=system)
 
 
@@ -74,9 +75,9 @@ def error_chain(k, eps, ns, sigma=None, dirichlet="weak"):
     return errors, rates
 
 
-def random_dg_coefficients(rng, dofmap, scale=1.0):
-    """A random coefficient vector over the broken space."""
-    return scale * rng.standard_normal(dofmap.total_dofs)
+def random_dg_coefficients(rng, case, scale=1.0):
+    """A random coefficient vector over the broken space of a case."""
+    return scale * rng.standard_normal(case.dofs)
 
 
 def as_dg(case, coefficients):

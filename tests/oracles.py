@@ -111,7 +111,7 @@ def dense_bilinear_matrix(mesh, dofmap, problem, nq=10, dirichlet="weak"):
     n = mesh.config.n
     k = dofmap.k
     ndl = dofmap.ndof_local
-    total = dofmap.total_dofs
+    total = mesh.n_elements * ndl
     a = np.zeros((total, total))
     t, w = gauss_legendre(nq)
 
@@ -265,7 +265,7 @@ def dense_load_vector(mesh, dofmap, problem, nq=10):
     k = dofmap.k
     ndl = dofmap.ndof_local
     t, w = gauss_legendre(nq)
-    rhs = np.zeros(dofmap.total_dofs)
+    rhs = np.zeros(mesh.n_elements * ndl)
     for i in range(n):
         for j in range(n):
             base = (i * n + j) * ndl

@@ -54,7 +54,7 @@ def e_in(k, n, eps, edges_rule, penalty, beta):
         edges = dataclasses.replace(
             edges, rho=np.where(chosen, penalty(n), edges.rho))
     problem = boundary_layer_problem(eps)
-    dofmap = DofMap(k=k, n=n)
+    dofmap = DofMap(k=k)
     x, _ = solve(assemble(grid, edges, dofmap, problem))
     return supercloseness_error(DGFunction(grid, dofmap, x), edges,
                                 problem).e_in

@@ -129,7 +129,7 @@ class TestCompositeInterpolant:
 class TestEnergyNorm:
     def test_zero_function_has_zero_norm(self):
         case = make_case(k=1, n=8, eps=1e-3)
-        v = as_dg(case, np.zeros(case.dofmap.total_dofs))
+        v = as_dg(case, np.zeros(case.dofs))
         parts = energy_norm(v, case.edges, case.problem)
         assert parts.value == 0.0
         assert all(x == 0.0 for x in parts.as_dict().values())
@@ -147,10 +147,10 @@ class TestEnergyNorm:
     def test_components_match_bruteforce_reference(self, kind):
         case = make_case(k=1, n=2, eps=0.05)
         if kind == "indicator":
-            coeffs = np.zeros(case.dofmap.total_dofs)
+            coeffs = np.zeros(case.dofs)
             coeffs.reshape(2, 2, -1)[0, 1] = 1.0
         else:
-            coeffs = random_dg_coefficients(RNG, case.dofmap)
+            coeffs = random_dg_coefficients(RNG, case)
         v = as_dg(case, coeffs)
         parts = energy_norm(v, case.edges, case.problem)
         expected = oracles.energy_components_bruteforce(v, case.problem)
@@ -160,7 +160,7 @@ class TestEnergyNorm:
 
     def test_absolute_homogeneity(self):
         case = make_case(k=1, n=8, eps=1e-3)
-        coeffs = random_dg_coefficients(RNG, case.dofmap)
+        coeffs = random_dg_coefficients(RNG, case)
         v = as_dg(case, coeffs)
         w = as_dg(case, -2.5 * coeffs)
         nv = energy_norm(v, case.edges, case.problem).value
@@ -170,8 +170,8 @@ class TestEnergyNorm:
     def test_triangle_inequality(self):
         case = make_case(k=1, n=8, eps=1e-3)
         for _ in range(50):
-            a = random_dg_coefficients(RNG, case.dofmap)
-            b = random_dg_coefficients(RNG, case.dofmap)
+            a = random_dg_coefficients(RNG, case)
+            b = random_dg_coefficients(RNG, case)
             na = energy_norm(as_dg(case, a), case.edges, case.problem).value
             nb = energy_norm(as_dg(case, b), case.edges, case.problem).value
             nab = energy_norm(as_dg(case, a + b), case.edges,
@@ -183,7 +183,7 @@ class TestEnergyNorm:
         bad = dataclasses.replace(case.problem,
                                   div_b=lambda x, y: np.zeros_like(x),
                                   c=lambda x, y: -np.ones_like(x))
-        v = as_dg(case, random_dg_coefficients(RNG, case.dofmap))
+        v = as_dg(case, random_dg_coefficients(RNG, case))
         with pytest.raises(ValueError, match="negative"):
             energy_norm(v, case.edges, bad)
 
@@ -223,7 +223,7 @@ class TestErrorRecord:
     def test_missing_exact_solution_is_rejected(self):
         case = make_case(k=1, n=8, eps=1e-3)
         anon = dataclasses.replace(case.problem, exact=None)
-        v = as_dg(case, np.zeros(case.dofmap.total_dofs))
+        v = as_dg(case, np.zeros(case.dofs))
         with pytest.raises(ValueError, match="exact"):
             supercloseness_error(v, case.edges, anon)
 

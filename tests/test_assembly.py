@@ -57,9 +57,11 @@ def test_public_names_resolve():
 
 class TestDofMap:
     def test_local_and_total_counts(self):
-        dm = DofMap(k=2, n=4)
+        dm = DofMap(k=2)
         assert dm.ndof_local == 9
-        assert dm.total_dofs == 16 * 9
+        # the mesh owns N: an N = 4 function has 16 * 9 coefficients
+        mesh = make_mesh(4, 1e-2, 3.5)
+        assert DGFunction(mesh, dm, np.zeros(16 * 9)).coefficients.size == 144
 
     def test_element_blocks_are_contiguous_and_disjoint(self):
         # element (i, j) owns dofs (i*N + j)*(k+1)^2 + a*(k+1) + b, the
@@ -78,9 +80,13 @@ class TestDofMap:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            DofMap(k=0, n=8)
-        with pytest.raises(ValueError):
-            DofMap(k=1, n=1)
+            DofMap(k=0)
+
+    def test_function_sized_for_another_mesh_is_rejected(self):
+        # N = 16 coefficients on an N = 8 mesh: 8 * 8 * 4 = 256 expected
+        mesh = make_mesh(8, 1e-3, 2.5)
+        with pytest.raises(ValueError, match=r"1024.*expected \(256,\)"):
+            DGFunction(mesh, DofMap(k=1), np.zeros(1024))
 
 
 class TestTracePair:
@@ -108,7 +114,7 @@ class TestTracePair:
     def test_indicator_jump_is_plus_minus_one(self):
         # v = 1 on element (1, 1), 0 elsewhere (the basis sums to one).
         case = self.case
-        coeffs = np.zeros(case.dofmap.total_dofs)
+        coeffs = np.zeros(case.dofs)
         coeffs.reshape(8, 8, -1)[1, 1] = 1.0
         v = DGFunction(case.mesh, case.dofmap, coeffs)
         mid_y = 0.5 * (case.mesh.y_pts[1] + case.mesh.y_pts[2])
@@ -134,7 +140,7 @@ class TestTracePair:
         # Compare against point evaluation slightly inside each element.
         case = self.case
         v = DGFunction(case.mesh, case.dofmap,
-                       random_dg_coefficients(RNG, case.dofmap))
+                       random_dg_coefficients(RNG, case))
         delta = 1e-10
         idx = find_edge(case.edges, "v", 4, 2)  # transition line, interior
         x_e, (lo, hi) = edge_segment(case.mesh, case.edges, idx)
@@ -148,7 +154,7 @@ class TestTracePair:
     def test_boundary_edge_has_no_minus_trace(self):
         case = self.case
         v = DGFunction(case.mesh, case.dofmap,
-                       np.ones(case.dofmap.total_dofs))
+                       np.ones(case.dofs))
         idx = find_edge(case.edges, "v", 0, 3)
         _, (lo, _) = edge_segment(case.mesh, case.edges, idx)
         plus, minus = trace_pair(v, case.edges, idx, [lo + 1e-3])
@@ -197,7 +203,7 @@ class TestMatrixOracle:
 
         problem = boundary_layer_problem(0.05)
         mesh = make_mesh(n, problem.eps, 2.5)
-        dofmap = DofMap(k=k, n=n)
+        dofmap = DofMap(k=k)
         dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem)
         standard = classify_edges(mesh)
         for edges in (standard, reversed_edges(standard)):
@@ -214,12 +220,12 @@ class TestMatrixOracle:
         problem = boundary_layer_problem(0.05)
         mesh = make_mesh(2, problem.eps, 2.5)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=k, n=2)
+        dofmap = DofMap(k=k)
         system = assemble(mesh, edges, dofmap, problem, dirichlet="strong")
         dense = oracles.dense_bilinear_matrix(mesh, dofmap, problem,
                                               dirichlet="strong")
         bdofs = boundary_dofs(mesh, dofmap)
-        interior = np.setdiff1d(np.arange(dofmap.total_dofs), bdofs)
+        interior = np.setdiff1d(np.arange(system.rhs.size), bdofs)
         got = system.matrix.toarray()
         # Interior block agrees; boundary rows/columns are eliminated to
         # the identity.
@@ -245,7 +251,7 @@ class TestMatrixOracle:
         )
         mesh = make_mesh(2, problem.eps, 2.5)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=1, n=2)
+        dofmap = DofMap(k=1)
         system = assemble(mesh, edges, dofmap, problem)
         dense = oracles.dense_load_vector(mesh, dofmap, problem)
         np.testing.assert_allclose(system.rhs, dense, atol=1e-12, rtol=0.0)
@@ -259,7 +265,7 @@ class TestMatrixOracle:
                               f=zero)
         mesh = make_mesh(8, problem.eps, 2.5, beta1=1.0, beta2=1.0)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=1, n=8)
+        dofmap = DofMap(k=1)
         system = assemble(mesh, edges, dofmap, problem)
         assert np.all(system.rhs == 0.0)
         sol = splu(system.matrix.tocsc()).solve(system.rhs)
@@ -300,7 +306,7 @@ class TestPolynomialConsistency:
         problem = self._field()
         mesh = make_mesh(8, problem.eps, 2.5)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=2, n=8)
+        dofmap = DofMap(k=2)
         system = assemble(mesh, edges, dofmap, problem, dirichlet=dirichlet)
         sol = splu(system.matrix.tocsc()).solve(system.rhs)
         expected = interpolate_vee_global(problem.exact, mesh, dofmap)
@@ -322,7 +328,7 @@ class TestValidation:
     def setup_method(self):
         self.mesh = make_mesh(8, 1e-3, 2.5)
         self.edges = classify_edges(self.mesh)
-        self.dofmap = DofMap(k=1, n=8)
+        self.dofmap = DofMap(k=1)
 
     def test_convection_below_mesh_bounds_is_rejected(self):
         # The mesh was built for b1 >= 5, but the field only reaches 2.
@@ -365,7 +371,7 @@ class TestSparsityAndMetadata:
         case = make_case(k=2, n=8, eps=1e-3)
         lil = case.system.matrix.tolil()
         ndl = case.dofmap.ndof_local
-        dofs = np.arange(case.dofmap.total_dofs).reshape(8, 8, ndl)
+        dofs = np.arange(case.dofs).reshape(8, 8, ndl)
         for i in range(8):
             for j in range(8):
                 allowed = set(dofs[i, j].tolist())
@@ -407,7 +413,7 @@ class TestSparsityAndMetadata:
         order = case.system.order
         assert not order.flags.writeable
         np.testing.assert_array_equal(np.sort(order),
-                                      np.arange(case.dofmap.total_dofs))
+                                      np.arange(case.dofs))
         i, _, a, _ = np.unravel_index(np.arange(order.size),
                                       (8, 8, k + 1, k + 1))
         separator = ((i == 3) & (a == k)) | ((i == 4) & (a == 0))
@@ -428,7 +434,7 @@ class TestSparsityAndMetadata:
         problem = boundary_layer_problem(1e-4)
         mesh = make_mesh(n, problem.eps, k + 1.5)
         edges = classify_edges(mesh)
-        dofmap = DofMap(k=k, n=n)
+        dofmap = DofMap(k=k)
         assemble(mesh, edges, dofmap, problem)   # fill the table caches
         tracemalloc.start()
         try:

@@ -286,6 +286,13 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_degree_below_one_is_named_before_the_mesh_sequence(self,
+                                                                capsys):
+        # no n: the degree is checked before its default chain is looked up
+        code = main(["study", "--k", "0", "--eps", "1e-3"])
+        assert code == 1
+        assert "polynomial degree must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags,code,message", [
         (["--bogus"], 1, "error: unrecognized arguments: --bogus"),
         (["--solver", "foo"], 1, "error: unknown solver method: 'foo'"),

@@ -243,7 +243,7 @@ class TestOrdering:
         for system in (case.system, unordered(case.system)):
             solve(system)
         ordered, plain = factors
-        rows = case.dofmap.total_dofs
+        rows = case.dofs
         np.testing.assert_array_equal(ordered.perm_r, np.arange(rows))
         np.testing.assert_array_equal(plain.perm_r, plain.perm_c)
 
@@ -277,7 +277,7 @@ class TestOrdering:
         gc.collect()
         gc.disable()
         try:
-            system = assemble(grid, edges, DofMap(k=1, n=8), problem)
+            system = assemble(grid, edges, DofMap(k=1), problem)
             for config in configs:
                 solve(system, config)
             solve(unordered(system))
