@@ -88,6 +88,12 @@ class StudyConfig:
             raise ValueError("config must list at least one degree k")
         if not self.eps_list:
             raise ValueError("config must list at least one eps")
+        # the mesh may assume less convection than the problem has, not more
+        for key, bound in ("beta1", problems.BETA1), ("beta2", problems.BETA2):
+            value = getattr(self, key)
+            if value > bound:
+                raise ValueError(f"{key}={value} exceeds the built-in "
+                                 f"problem's convection lower bound {bound}")
         for k in self.k_list:
             assembly.DofMap(k=k)
             sigma = self.sigma_for(k)
@@ -199,7 +205,9 @@ def run_study(config):
         "n": ("per-degree default" if config.n_list is None
               else _fmt_list(config.n_list)),
         "quad_order": "k + 2",
-        "penalty_schedule": "M1:1 M2:N^2 M3:N M4:N",
+        "penalty_schedule": " ".join(
+            f"{t.name}:" + {0: "1", 1: "N"}.get(p, f"N^{p}")
+            for t, p in mesh.PENALTY_POWER.items()),
         "boundary_edge_rule": "same-as-interior",
         "dirichlet": config.dirichlet,
         "solver": config.solver.method,

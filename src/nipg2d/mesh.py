@@ -47,15 +47,16 @@ class EdgeType(IntEnum):
     M4 = 4
 
 
+#: penalty schedule: the power of N that each edge family's rho is
+PENALTY_POWER = {EdgeType.M1: 0, EdgeType.M2: 2, EdgeType.M3: 1,
+                 EdgeType.M4: 1}
+
+
 def penalty_weight(edge_type, n):
     """Penalty parameter rho for an edge family (an :class:`EdgeType` or
-    its integer code) on an N x N mesh."""
-    edge_type = EdgeType(edge_type)
-    if edge_type is EdgeType.M1:
-        return 1.0
-    if edge_type is EdgeType.M2:
-        return float(n) ** 2
-    return float(n)
+    its integer code) on an N x N mesh: N to the family's
+    :data:`PENALTY_POWER`."""
+    return float(n) ** PENALTY_POWER[EdgeType(edge_type)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
-"""The documented example of the package docstring runs as written."""
+"""The package docstring's example runs as written, and the ``cli``
+docstring documents exactly the config keys the study reads."""
 
+import re
 import textwrap
 
 import nipg2d
+from nipg2d import cli
 
 
 def typical_use_block():
@@ -22,3 +25,8 @@ def test_typical_use_example_runs():
     assert namespace["report"].converged
     # the k = 1, eps = 1e-5, N = 16 entry of README's measured table
     assert format(namespace["record"].e_in, ".3e") == "5.598e-02"
+
+
+def test_cli_docstring_lists_exactly_the_config_keys():
+    listed = re.findall(r"^    (\w+) = ", cli.__doc__, re.MULTILINE)
+    assert listed == list(cli.CONFIG_KEYS)
