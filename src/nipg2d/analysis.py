@@ -23,10 +23,13 @@ space:
 """
 
 import numpy as np
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from .assembly import DGFunction, _cells, _coefficients, _faces, _sample
 from .felib import l2_projector, reference_tables, vee_operator
+
+#: Gauss points per direction beyond k in the energy norm and L2 error
+ERROR_QUAD_POINTS_OVER_K = 3
 
 
 def interpolate_vee_global(u, mesh, dofmap):
@@ -87,13 +90,10 @@ class NormComponents:
         return float(np.sqrt(self.grad + self.reaction
                              + self.penalty + self.inflow_outflow))
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def energy_norm(v, edges, problem):
     """Energy norm of a :class:`DGFunction`, with component breakdown,
-    by the (k + 3)-point Gauss rule per direction.
+    by the (k + ERROR_QUAD_POINTS_OVER_K)-point Gauss rule per direction.
 
     Parameters
     ----------
@@ -114,7 +114,7 @@ def energy_norm(v, edges, problem):
         the round-off slack that :func:`~nipg2d.assembly.assemble` allows.
     """
     mesh, dofmap = v.mesh, v.dofmap
-    tab = reference_tables(dofmap.k, dofmap.k + 3)
+    tab = reference_tables(dofmap.k, dofmap.k + ERROR_QUAD_POINTS_OVER_K)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
 
     # volume parts
@@ -141,9 +141,9 @@ def energy_norm(v, edges, problem):
 
 def broken_l2_error(u, v):
     """Broken L2 norm of u - v for a callable u and DGFunction v, by the
-    (k + 3)-point Gauss rule per direction."""
+    (k + ERROR_QUAD_POINTS_OVER_K)-point Gauss rule per direction."""
     mesh, dofmap = v.mesh, v.dofmap
-    tab = reference_tables(dofmap.k, dofmap.k + 3)
+    tab = reference_tables(dofmap.k, dofmap.k + ERROR_QUAD_POINTS_OVER_K)
     hx, hy, x_q, y_q = _cells(mesh, *tab.points.T)
     coeffs = v.coefficients.reshape(mesh.n_elements, dofmap.ndof_local)
     diff = _sample(u, x_q, y_q) - coeffs @ tab.vals
@@ -164,7 +164,7 @@ class ErrorRecord:
     e_in: float
     e_pi: float
     e_l2: float
-    components: dict = field(default_factory=dict)
+    components: NormComponents
 
 
 def supercloseness_error(u_h, edges, problem):
@@ -197,7 +197,7 @@ def supercloseness_error(u_h, edges, problem):
         e_in=parts_in.value,
         e_pi=parts_pi.value,
         e_l2=broken_l2_error(u, u_h),
-        components=parts_in.as_dict(),
+        components=parts_in,
     )
 
 

@@ -41,6 +41,9 @@ from .mesh import NO_ELEMENT
 #: values of :func:`assemble`'s ``dirichlet`` argument
 DIRICHLET_MODES = ("weak", "strong")
 
+#: Gauss points per direction beyond k in :func:`assemble`
+QUAD_POINTS_OVER_K = 2
+
 
 class CoefficientConditionError(ValueError):
     """Raised when sampled coefficients violate the standing assumptions
@@ -200,8 +203,6 @@ def _faces(mesh, edges, problem, tab):
     the edge's line, and its LEFT (BOTTOM) side otherwise.
     """
     n = mesh.config.n
-    # element widths across vertical (hx) and horizontal (hy) faces
-    width_x, width_y, _, _ = _cells(mesh, (), ())
     vertical = edges.orientation == "v"
     before = np.where(vertical, edges.plus // n, edges.plus % n) < edges.line
     plus_side = np.where(vertical, LEFT, BOTTOM) + before
@@ -215,19 +216,19 @@ def _faces(mesh, edges, problem, tab):
             y = mesh.y_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
             x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
             b = _sample(problem.b1, x, y)
-            width = width_x
+            width, cell_of = mesh.h_x, np.floor_divide  # column e // N
         else:
             h = mesh.h_x[cell]
             x = mesh.x_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
             y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
             b = _sample(problem.b2, x, y)
-            width = width_y
+            width, cell_of = mesh.h_y, np.remainder  # row e % N
         nu = 1.0 if side in (RIGHT, TOP) else -1.0
         sides = [(edges.plus[idx], side, 1.0)]
         if not on_boundary:
             # the minus element meets the edge on the opposite side
             sides.append((edges.minus[idx], side ^ 1, -1.0))
-        traces = tuple(_Trace(e, s, sign, nu * 2.0 / width[e])
+        traces = tuple(_Trace(e, s, sign, nu * 2.0 / width[cell_of(e, n)])
                        for e, s, sign in sides)
         yield _FaceBatch(tab.w1 * (0.5 * h)[:, None], b, edges.rho[idx],
                          traces)
@@ -257,8 +258,8 @@ def _coefficients(problem, config, x, y):
 
 
 def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
-    """Assemble the NIPG matrix and load vector with the (k + 2)-point
-    Gauss rule per direction.
+    """Assemble the NIPG matrix and load vector with the
+    (k + QUAD_POINTS_OVER_K)-point Gauss rule per direction.
 
     Parameters
     ----------
@@ -284,7 +285,7 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     if dirichlet not in DIRICHLET_MODES:
         raise ValueError(f"unknown Dirichlet mode: {dirichlet!r}")
 
-    nq = k + 2
+    nq = k + QUAD_POINTS_OVER_K
     tab = reference_tables(k, nq)
     ndl = dofmap.ndof_local
     ne = n * n

@@ -5,6 +5,8 @@ solves each discrete problem, measures the interpolant-distance errors and
 their observed orders, and writes a CSV table plus a per-degree markdown
 table.  Exit code 0 means every solve met its tolerance, 1 a usage or
 configuration error, and 2 degraded rows (the sweep still completes).
+A :class:`StudyConfig` checks every cell's parameters when it is built,
+so a configuration error exits 1 before any output file is opened.
 
 Config files are flat ``key = value`` lines ('#' starts a comment); list
 values are comma separated.  The recognized keys follow; all are optional
@@ -52,9 +54,9 @@ CSV_COLUMNS = ("k", "eps", "N", "dofs", "e_IN", "p_IN", "e_Pi", "e_L2",
                "solver_iters", "residual", "wall_ms")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
-    """Resolved parameters of one study sweep."""
+    """Resolved parameters of one study sweep, checked when built."""
 
     k_list: tuple
     eps_list: tuple
@@ -67,36 +69,24 @@ class StudyConfig:
     out_csv: str | None = None
     out_md: str | None = None
 
-    def sigma_for(self, k):
-        return (k + 1.5) if self.sigma is None else self.sigma
+    def __post_init__(self):
+        self.validate()
 
     def n_list_for(self, k):
         if self.n_list is not None:
             return tuple(self.n_list)
-        try:
-            return DEFAULT_N_BY_K[k]
-        except KeyError:
+        if k not in DEFAULT_N_BY_K:
             raise ValueError(
-                f"no default mesh sequence for k={k}; set 'n' explicitly"
-            ) from None
+                f"no default mesh sequence for k={k}; set 'n' explicitly")
+        return DEFAULT_N_BY_K[k]
 
-    def validate(self):
-        """Check the study's own policy, then construct the DofMap of
-        every degree and the MeshConfig of every cell, which check their
-        own parameters."""
-        if not self.k_list:
-            raise ValueError("config must list at least one degree k")
-        if not self.eps_list:
-            raise ValueError("config must list at least one eps")
-        # the mesh may assume less convection than the problem has, not more
-        for key, bound in ("beta1", problems.BETA1), ("beta2", problems.BETA2):
-            value = getattr(self, key)
-            if value > bound:
-                raise ValueError(f"{key}={value} exceeds the built-in "
-                                 f"problem's convection lower bound {bound}")
+    def chains(self):
+        """Yield each chain in run order (k, then eps, then N ascending)
+        as its DofMap and the MeshConfig of each N, checking the study's
+        per-degree rules; DofMap and MeshConfig check their own."""
         for k in self.k_list:
-            assembly.DofMap(k=k)
-            sigma = self.sigma_for(k)
+            dofmap = assembly.DofMap(k=k)
+            sigma = k + 1.5 if self.sigma is None else self.sigma
             if sigma < k + 0.5:
                 raise ValueError(
                     f"sigma={sigma} is below k + 1/2 = {k + 0.5} for "
@@ -109,10 +99,26 @@ class StudyConfig:
                 if b != 2 * a:
                     raise ValueError(
                         f"mesh sequence must double: got {a} then {b}")
-            for n in ns:
-                for eps in self.eps_list:
+            for eps in self.eps_list:
+                yield dofmap, tuple(
                     mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
                                     beta1=self.beta1, beta2=self.beta2)
+                    for n in ns)
+
+    def validate(self):
+        """Check the study's own policy and walk :meth:`chains`, so that
+        every cell's parameters are checked before any is solved."""
+        if not self.k_list:
+            raise ValueError("config must list at least one degree k")
+        if not self.eps_list:
+            raise ValueError("config must list at least one eps")
+        # the mesh may assume less convection than the problem has, not more
+        for key, bound in ("beta1", problems.BETA1), ("beta2", problems.BETA2):
+            value = getattr(self, key)
+            if value > bound:
+                raise ValueError(f"{key}={value} exceeds the built-in "
+                                 f"problem's convection lower bound {bound}")
+        list(self.chains())
         if self.dirichlet not in assembly.DIRICHLET_MODES:
             raise ValueError(f"unknown Dirichlet mode: {self.dirichlet!r}")
 
@@ -160,39 +166,32 @@ def run_study(config):
     -------
     StudyReport
     """
-    config.validate()
     rows = []
-    for k in config.k_list:
-        sigma = config.sigma_for(k)
-        dofmap = assembly.DofMap(k=k)
-        for eps in config.eps_list:
-            problem = problems.boundary_layer_problem(eps)
-            chain = []
-            for n in config.n_list_for(k):
-                t0 = time.perf_counter()
-                mcfg = mesh.MeshConfig(n=n, eps=eps, sigma=sigma,
-                                       beta1=config.beta1, beta2=config.beta2)
-                grid = mesh.build_mesh(mcfg)
-                edges = mesh.classify_edges(grid)
-                system = assembly.assemble(grid, edges, dofmap, problem,
-                                           dirichlet=config.dirichlet)
-                x, report = solver.solve(system, config.solver)
-                u_h = assembly.DGFunction(grid, dofmap, x)
-                record = analysis.supercloseness_error(u_h, edges, problem)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                chain.append(StudyRow(
-                    k=k, eps=eps, n=n, dofs=record.dofs,
-                    e_in=record.e_in, e_pi=record.e_pi, e_l2=record.e_l2,
-                    p_in=None, solver_iters=report.iterations,
-                    residual=report.residual, wall_ms=wall_ms,
-                    converged=report.converged,
-                    condition=report.condition_estimate,
-                    message=report.message))
-            rates = analysis.convergence_rates(
-                [(r.n, r.e_in) for r in chain])
-            for row, rate in zip(chain, rates):
-                row.p_in = rate
-            rows.extend(chain)
+    for dofmap, meshes in config.chains():
+        problem = problems.boundary_layer_problem(meshes[0].eps)
+        chain = []
+        for mcfg in meshes:
+            t0 = time.perf_counter()
+            grid = mesh.build_mesh(mcfg)
+            edges = mesh.classify_edges(grid)
+            system = assembly.assemble(grid, edges, dofmap, problem,
+                                       dirichlet=config.dirichlet)
+            x, report = solver.solve(system, config.solver)
+            u_h = assembly.DGFunction(grid, dofmap, x)
+            record = analysis.supercloseness_error(u_h, edges, problem)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            chain.append(StudyRow(
+                k=dofmap.k, eps=mcfg.eps, n=mcfg.n, dofs=record.dofs,
+                e_in=record.e_in, e_pi=record.e_pi, e_l2=record.e_l2,
+                p_in=None, solver_iters=report.iterations,
+                residual=report.residual, wall_ms=wall_ms,
+                converged=report.converged,
+                condition=report.condition_estimate,
+                message=report.message))
+        rates = analysis.convergence_rates([(r.n, r.e_in) for r in chain])
+        for row, rate in zip(chain, rates):
+            row.p_in = rate
+        rows.extend(chain)
 
     echo = {
         "problem": "boundary_layer",
@@ -204,7 +203,7 @@ def run_study(config):
         "beta2": _fmt_value(config.beta2),
         "n": ("per-degree default" if config.n_list is None
               else _fmt_list(config.n_list)),
-        "quad_order": "k + 2",
+        "quad_order": f"k + {assembly.QUAD_POINTS_OVER_K}",
         "penalty_schedule": " ".join(
             f"{t.name}:" + {0: "1", 1: "N"}.get(p, f"N^{p}")
             for t, p in mesh.PENALTY_POWER.items()),
@@ -215,7 +214,7 @@ def run_study(config):
         "max_iters": str(config.solver.max_iters),
         "restart": str(config.solver.restart),
         "estimate_condition": str(config.solver.estimate_condition).lower(),
-        "error_quad_order": "k + 3",
+        "error_quad_order": f"k + {analysis.ERROR_QUAD_POINTS_OVER_K}",
     }
     return StudyReport(rows, echo)
 
@@ -459,7 +458,6 @@ def main(argv=None):
         file_values = (_parse_config_file(args.config)
                        if args.config else {})
         config = build_config(file_values, args)
-        config.validate()
         # an unwritable output path fails here, before any cell is solved
         for path in filter(None, (config.out_csv, config.out_md)):
             open(path, "a", encoding="utf-8").close()

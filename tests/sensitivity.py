@@ -1,18 +1,22 @@
-"""How the reference-table gap moves with the outflow-boundary penalty.
+"""How the reference-table gap moves with the mesh and the outflow-boundary
+penalty, and where the energy norm's weight sits.
 
 Not a test: pytest does not collect this file.  Run it from the
 repository root with
 
     PYTHONPATH=src python3 tests/sensitivity.py
 
-For each variant it prints one markdown row: per degree k = 1, 2, 3, on
-the chains of the published tables, the ratio published / computed e_IN
-at each N and the observed orders log2(e_N / e_2N).  A variant replaces
-the penalty on the boundary edges of the outflow lines x = 1 and y = 1
-(or of the whole boundary) and may change the mesh's beta.  As
-acceptance criterion 11 does, it overrides ``EdgeSet.rho`` through
-``dataclasses.replace``, and the norm is measured with the same edges,
-so the library gains no option.
+Each variant changes one setting of the default study.  Two markdown
+tables give, per degree k = 1, 2, 3 on the chains of the published
+tables, the ratio published / computed e_IN at each N and the observed
+orders log2(e_N / e_2N): the first for the mesh variants (transition
+constant sigma, the mesh's beta), the second for the penalty on the
+boundary edges of the outflow lines x = 1 and y = 1 (or of the whole
+boundary).  As acceptance criterion 11 does, a penalty variant overrides
+``EdgeSet.rho`` through ``dataclasses.replace``, and the norm is
+measured with the same edges, so the library gains no option.  A third
+table gives each part's share of e_IN^2 at the finest N of each chain,
+read from ``ErrorRecord.components``.
 """
 
 import dataclasses
@@ -31,56 +35,98 @@ from test_acceptance import REFERENCE
 #: (k, mesh sizes) of each chain; eps and published e_IN from REFERENCE
 CHAINS = ((1, (8, 16, 32, 64)), (2, (8, 16, 32)), (3, (8, 16, 32)))
 
-#: (label, boundary edges whose penalty is replaced, new penalty as a
-#: function of N, mesh (beta1, beta2)); None keeps the default penalties
-VARIANTS = (
-    ("default (N² long, N short)", None, None, (2.0, 3.0)),
-    ("N", "outflow", lambda n: n, (2.0, 3.0)),
-    ("N ln N (all boundary edges)", "all", lambda n: n * math.log(n),
-     (2.0, 3.0)),
-    ("N^{3/2}", "outflow", lambda n: n ** 1.5, (2.0, 3.0)),
-    ("N^{3/2}, and β = (2, 2)", "outflow", lambda n: n ** 1.5, (2.0, 2.0)),
+#: (label, settings) of each variant; unset settings keep the default:
+#: ``sigma`` maps k to the transition constant (k + 3/2), ``beta`` is the
+#: mesh's (beta1, beta2) ((2, 3)), and ``penalty`` maps N to the penalty
+#: that replaces rho on the ``edges`` "outflow" or "all" boundary edges
+DEFAULT = ("default", {})
+MESH_VARIANTS = (
+    DEFAULT,
+    ("one λ with β = min(β₁, β₂) = 2", dict(beta=(2.0, 2.0))),
+    ("σ = 2(k+1)", dict(sigma=lambda k: 2.0 * (k + 1))),
+    ("β = (1, 1)", dict(beta=(1.0, 1.0))),
+)
+PENALTY_VARIANTS = (
+    DEFAULT,
+    ("N", dict(edges="outflow", penalty=lambda n: n)),
+    ("N ln N (all boundary edges)",
+     dict(edges="all", penalty=lambda n: n * math.log(n))),
+    ("N^{3/2}", dict(edges="outflow", penalty=lambda n: n ** 1.5)),
+    ("N^{3/2}, and β = (2, 2)",
+     dict(edges="outflow", penalty=lambda n: n ** 1.5, beta=(2.0, 2.0))),
 )
 
+#: the parts of e_IN^2, as ``NormComponents`` names them
+PARTS = ("grad", "reaction", "penalty", "inflow_outflow")
 
-def e_in(k, n, eps, edges_rule, penalty, beta):
-    """e_IN of the built-in problem with the variant's penalties."""
-    grid = make_mesh(n, eps, k + 1.5, *beta)
-    edges = classify_edges(grid)
-    if edges_rule is not None:
-        chosen = edges.minus == NO_ELEMENT
-        if edges_rule == "outflow":
-            chosen &= edges.line == n
-        edges = dataclasses.replace(
-            edges, rho=np.where(chosen, penalty(n), edges.rho))
+
+def error_record(k, n, eps, sigma=lambda k: k + 1.5, beta=(2.0, 3.0),
+                 edges=None, penalty=None):
+    """ErrorRecord of the built-in problem under one variant."""
+    grid = make_mesh(n, eps, sigma(k), *beta)
+    edge_set = classify_edges(grid)
+    if edges is not None:
+        chosen = edge_set.minus == NO_ELEMENT
+        if edges == "outflow":
+            chosen &= edge_set.line == n
+        edge_set = dataclasses.replace(
+            edge_set, rho=np.where(chosen, penalty(n), edge_set.rho))
     problem = boundary_layer_problem(eps)
     dofmap = DofMap(k=k)
-    x, _ = solve(assemble(grid, edges, dofmap, problem))
-    return supercloseness_error(DGFunction(grid, dofmap, x), edges,
-                                problem).e_in
+    x, _ = solve(assemble(grid, edge_set, dofmap, problem))
+    return supercloseness_error(DGFunction(grid, dofmap, x), edge_set,
+                                problem)
+
+
+def print_table(header, rows):
+    print("| " + " | ".join(header) + " |")
+    print("|" + "---|" * len(header))
+    for row in rows:
+        print("| " + " | ".join(row) + " |")
+    print()
 
 
 def main():
     start = time.perf_counter()
-    header = ["penalty on outflow-boundary edges"]
+    records = {}                         # label -> one record list per chain
+    for label, settings in dict(MESH_VARIANTS + PENALTY_VARIANTS).items():
+        records[label] = [
+            [error_record(k, n, REFERENCE[k]["eps"], **settings) for n in ns]
+            for k, ns in CHAINS]
+
+    header = []
     for k, ns in CHAINS:
         published = "/".join(f"{r:.2f}" for r in
                              REFERENCE[k]["rates"][:len(ns) - 1])
         header += [f"k={k} ratio", f"k={k} orders ({published})"]
-    print("| " + " | ".join(header) + " |")
-    print("|" + "---|" * len(header))
-    for label, edges_rule, penalty, beta in VARIANTS:
+    for first, variants in (("mesh variant", MESH_VARIANTS),
+                            ("penalty on outflow-boundary edges",
+                             PENALTY_VARIANTS)):
+        rows = []
+        for label, _ in variants:
+            row = [label]
+            for (k, _), chain in zip(CHAINS, records[label]):
+                errors = [r.e_in for r in chain]
+                row.append("/".join(f"{p / e:.2f}" for p, e in
+                                    zip(REFERENCE[k]["e_in"], errors)))
+                row.append("/".join(f"{math.log2(a / b):.2f}"
+                                    for a, b in zip(errors, errors[1:])))
+            rows.append(row)
+        print_table([first] + header, rows)
+
+    rows = []
+    for label, chains in records.items():
         row = [label]
-        for k, ns in CHAINS:
-            ref = REFERENCE[k]
-            errors = [e_in(k, n, ref["eps"], edges_rule, penalty, beta)
-                      for n in ns]
-            row.append("/".join(f"{p / e:.2f}"
-                                for p, e in zip(ref["e_in"], errors)))
-            row.append("/".join(f"{math.log2(a / b):.2f}"
-                                for a, b in zip(errors, errors[1:])))
-        print("| " + " | ".join(row) + " |")
-    print(f"\nrun time {time.perf_counter() - start:.1f} s")
+        for chain in chains:
+            finest = chain[-1]
+            parts = dataclasses.asdict(finest.components)
+            row.append("/".join(f"{100 * parts[p] / finest.e_in ** 2:.1f}"
+                                for p in PARTS))
+        rows.append(row)
+    print_table(["% of e_IN² at the finest N"]
+                + [f"k={k} N={ns[-1]} ({'/'.join(PARTS)})"
+                   for k, ns in CHAINS], rows)
+    print(f"run time {time.perf_counter() - start:.1f} s")
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ class TestEnergyNorm:
         v = as_dg(case, np.zeros(case.dofs))
         parts = energy_norm(v, case.edges, case.problem)
         assert parts.value == 0.0
-        assert all(x == 0.0 for x in parts.as_dict().values())
+        assert all(x == 0.0 for x in dataclasses.asdict(parts).values())
 
     def test_reaction_component_is_weighted_l2_mass(self):
         # The built-in field has c - div(b)/2 = 2 identically.
@@ -154,7 +154,7 @@ class TestEnergyNorm:
         v = as_dg(case, coeffs)
         parts = energy_norm(v, case.edges, case.problem)
         expected = oracles.energy_components_bruteforce(v, case.problem)
-        for key, value in parts.as_dict().items():
+        for key, value in dataclasses.asdict(parts).items():
             assert value == pytest.approx(expected[key], rel=1e-12,
                                           abs=1e-15), key
 
@@ -193,8 +193,8 @@ class TestErrorRecord:
         from helpers import solve_case
         run = solve_case(k=1, n=8, eps=1e-3)
         rec = run.record
-        assert rec.e_in ** 2 == pytest.approx(sum(rec.components.values()),
-                                              rel=1e-12)
+        parts = dataclasses.asdict(rec.components)
+        assert rec.e_in ** 2 == pytest.approx(sum(parts.values()), rel=1e-12)
         assert rec.dofs == 8 * 8 * 4
         assert rec.e_pi > 0.0 and rec.e_l2 > 0.0
 
@@ -217,7 +217,7 @@ class TestErrorRecord:
         x, report = solve(system)
         assert report.converged
         rec = supercloseness_error(as_dg(case, x), case.edges, problem)
-        assert rec.components["reaction"] == 0.0
+        assert rec.components.reaction == 0.0
         assert np.isfinite(rec.e_in) and rec.e_in > 0.0
 
     def test_missing_exact_solution_is_rejected(self):

@@ -1,5 +1,6 @@
 """Tests for the study command: config handling, sweep driver, formats."""
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nipg2d import cli
+from nipg2d import analysis, assembly, cli
 from nipg2d.cli import (
     CONFIG_KEYS,
     StudyConfig,
@@ -158,6 +159,18 @@ class TestValidation:
                            match=f"^{name} must be positive and finite"):
             small_config(**overrides).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(k_list=()), dict(sigma=math.inf),
+    ], ids=["no-degree", "sigma-inf"])
+    def test_invalid_config_is_rejected_when_built(self, overrides):
+        with pytest.raises(ValueError):
+            small_config(**overrides)
+
+    def test_config_is_frozen(self):
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sigma = 0.1
+
     def test_empty_lists_are_rejected(self):
         with pytest.raises(ValueError):
             small_config(k_list=()).validate()
@@ -205,6 +218,25 @@ class TestRunStudy:
         monkeypatch.setitem(PENALTY_POWER, EdgeType.M4, 1.5)
         echo = run_study(small_config()).config_echo
         assert echo["penalty_schedule"] == "M1:1 M2:N^2 M3:N M4:N^1.5"
+
+    def test_quadrature_echo_follows_the_named_rules(self, monkeypatch):
+        config = small_config(n_list=(8,))
+        before = run_study(config).rows[0].e_in
+        monkeypatch.setattr(assembly, "QUAD_POINTS_OVER_K", 4)
+        monkeypatch.setattr(analysis, "ERROR_QUAD_POINTS_OVER_K", 5)
+        report = run_study(config)
+        assert report.config_echo["quad_order"] == "k + 4"
+        assert report.config_echo["error_quad_order"] == "k + 5"
+        # the rules the echo names are the ones the sweep applied
+        assert report.rows[0].e_in != before
+
+    def test_rows_follow_the_config_chains(self):
+        config = small_config(k_list=(1, 2), eps_list=(1e-2, 1e-3))
+        cells = [(dofmap.k, m.eps, m.n)
+                 for dofmap, meshes in config.chains() for m in meshes]
+        assert cells == [(k, eps, n) for k in (1, 2) for eps in (1e-2, 1e-3)
+                         for n in (8, 16)]
+        assert [(r.k, r.eps, r.n) for r in run_study(config).rows] == cells
 
     def test_output_is_deterministic_up_to_wall_clock(self):
         a = mask_wall_ms(format_csv(run_study(small_config())))
