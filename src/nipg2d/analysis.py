@@ -30,12 +30,15 @@ from .felib import l2_projector, reference_tables, vee_operator
 
 #: Gauss points per direction beyond k in the energy norm and L2 error
 ERROR_QUAD_POINTS_OVER_K = 3
+#: Gauss points per direction beyond k in the interpolants' moments
+INTERP_QUAD_POINTS_OVER_K = 2
 
 
 def interpolate_vee_global(u, mesh, dofmap):
     """Apply the vertices-edges-element interpolant on every element.
 
-    Moments are taken with the (k + 2)-point Gauss rule per direction.
+    Moments are taken with the (k + INTERP_QUAD_POINTS_OVER_K)-point
+    Gauss rule per direction.
 
     Parameters
     ----------
@@ -49,7 +52,8 @@ def interpolate_vee_global(u, mesh, dofmap):
     DGFunction
         Continuous across edges up to roundoff.
     """
-    points, matrix = vee_operator(dofmap.k, dofmap.k + 2)
+    points, matrix = vee_operator(dofmap.k,
+                                  dofmap.k + INTERP_QUAD_POINTS_OVER_K)
     _, _, x, y = _cells(mesh, *points.T)
     coeffs = _sample(u, x, y) @ matrix.T
     return DGFunction(mesh, dofmap, coeffs.ravel())
@@ -61,11 +65,11 @@ def interpolate_composite(u, vee):
 
     ``vee`` is :func:`interpolate_vee_global` of the same ``u``; it gives
     the mesh, the dofmap and the coefficients kept outside the
-    coarse-coarse region.  The projection also uses the (k + 2)-point
-    Gauss rule.
+    coarse-coarse region.  The projection uses the same Gauss rule.
     """
     mesh, dofmap = vee.mesh, vee.dofmap
-    points, matrix = l2_projector(dofmap.k, dofmap.k + 2)
+    points, matrix = l2_projector(dofmap.k,
+                                  dofmap.k + INTERP_QUAD_POINTS_OVER_K)
     n = mesh.config.n
     coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
     _, _, x, y = _cells(mesh, *points.T)
@@ -160,7 +164,6 @@ class ErrorRecord:
     interpolant; ``e_l2`` the broken L2 norm of u - u_h.
     """
 
-    dofs: int
     e_in: float
     e_pi: float
     e_l2: float
@@ -193,7 +196,6 @@ def supercloseness_error(u_h, edges, problem):
     parts_in = energy_norm(diff_in, edges, problem)
     parts_pi = energy_norm(diff_pi, edges, problem)
     return ErrorRecord(
-        dofs=u_h.coefficients.size,
         e_in=parts_in.value,
         e_pi=parts_pi.value,
         e_l2=broken_l2_error(u, u_h),

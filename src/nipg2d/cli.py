@@ -50,8 +50,16 @@ DEFAULT_N_BY_K = {
     3: (8, 16, 32, 64),
 }
 
-CSV_COLUMNS = ("k", "eps", "N", "dofs", "e_IN", "p_IN", "e_Pi", "e_L2",
-               "solver_iters", "residual", "wall_ms")
+#: CSV column -> (StudyRow attribute, format spec); parse_csv reads "d"
+#: columns as int and the rest as float, an empty p_IN as None
+CSV_TABLE = {
+    "k": ("k", "d"), "eps": ("eps", ".12g"), "N": ("n", "d"),
+    "dofs": ("dofs", "d"), "e_IN": ("e_in", ".6e"), "p_IN": ("p_in", ".4f"),
+    "e_Pi": ("e_pi", ".6e"), "e_L2": ("e_l2", ".6e"),
+    "solver_iters": ("solver_iters", "d"), "residual": ("residual", ".3e"),
+    "wall_ms": ("wall_ms", ".1f"),
+}
+CSV_COLUMNS = tuple(CSV_TABLE)
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ def run_study(config):
             record = analysis.supercloseness_error(u_h, edges, problem)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             chain.append(StudyRow(
-                k=dofmap.k, eps=mcfg.eps, n=mcfg.n, dofs=record.dofs,
+                k=dofmap.k, eps=mcfg.eps, n=mcfg.n, dofs=x.size,
                 e_in=record.e_in, e_pi=record.e_pi, e_l2=record.e_l2,
                 p_in=None, solver_iters=report.iterations,
                 residual=report.residual, wall_ms=wall_ms,
@@ -215,6 +223,7 @@ def run_study(config):
         "restart": str(config.solver.restart),
         "estimate_condition": str(config.solver.estimate_condition).lower(),
         "error_quad_order": f"k + {analysis.ERROR_QUAD_POINTS_OVER_K}",
+        "interp_quad_order": f"k + {analysis.INTERP_QUAD_POINTS_OVER_K}",
     }
     return StudyReport(rows, echo)
 
@@ -238,13 +247,8 @@ def format_csv(report):
     writer.writerow(CSV_COLUMNS)
     for r in report.rows:
         writer.writerow([
-            r.k, _fmt_value(r.eps), r.n, r.dofs,
-            format(r.e_in, ".6e"),
-            "" if r.p_in is None else format(r.p_in, ".4f"),
-            format(r.e_pi, ".6e"), format(r.e_l2, ".6e"),
-            r.solver_iters, format(r.residual, ".3e"),
-            format(r.wall_ms, ".1f"),
-        ])
+            "" if getattr(r, attr) is None else format(getattr(r, attr), spec)
+            for attr, spec in CSV_TABLE.values()])
     for r in report.rows:
         if r.condition is not None:
             out.write(f"# condition_estimate k={r.k} eps={_fmt_value(r.eps)} "
@@ -263,19 +267,10 @@ def parse_csv(text):
             echo[key.strip()] = val.strip()
         elif line.strip():
             data_lines.append(line)
-    reader = csv.DictReader(data_lines)
-    rows = []
-    for rec in reader:
-        rows.append({
-            "k": int(rec["k"]), "eps": float(rec["eps"]),
-            "N": int(rec["N"]), "dofs": int(rec["dofs"]),
-            "e_IN": float(rec["e_IN"]),
-            "p_IN": None if rec["p_IN"] == "" else float(rec["p_IN"]),
-            "e_Pi": float(rec["e_Pi"]), "e_L2": float(rec["e_L2"]),
-            "solver_iters": int(rec["solver_iters"]),
-            "residual": float(rec["residual"]),
-            "wall_ms": float(rec["wall_ms"]),
-        })
+    rows = [{col: None if col == "p_IN" and rec[col] == ""
+             else (int if spec == "d" else float)(rec[col])
+             for col, (_, spec) in CSV_TABLE.items()}
+            for rec in csv.DictReader(data_lines)]
     return echo, rows
 
 

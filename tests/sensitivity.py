@@ -10,13 +10,14 @@ Each variant changes one setting of the default study.  Two markdown
 tables give, per degree k = 1, 2, 3 on the chains of the published
 tables, the ratio published / computed e_IN at each N and the observed
 orders log2(e_N / e_2N): the first for the mesh variants (transition
-constant sigma, the mesh's beta), the second for the penalty on the
-boundary edges of the outflow lines x = 1 and y = 1 (or of the whole
-boundary).  As acceptance criterion 11 does, a penalty variant overrides
-``EdgeSet.rho`` through ``dataclasses.replace``, and the norm is
-measured with the same edges, so the library gains no option.  A third
-table gives each part's share of e_IN^2 at the finest N of each chain,
-read from ``ErrorRecord.components``.
+constant sigma, the mesh's beta), the second for the penalties (on the
+boundary edges of the outflow lines x = 1 and y = 1, of the whole
+boundary, or eps times every edge's).  As acceptance criterion 11 does,
+a penalty variant overrides ``EdgeSet.rho`` through
+``dataclasses.replace``, and the norm is measured with the same edges, so
+the library gains no option.  A third table gives each part's share of
+e_IN^2 at the finest N of each chain, read from
+``ErrorRecord.components``.
 """
 
 import dataclasses
@@ -35,10 +36,28 @@ from test_acceptance import REFERENCE
 #: (k, mesh sizes) of each chain; eps and published e_IN from REFERENCE
 CHAINS = ((1, (8, 16, 32, 64)), (2, (8, 16, 32)), (3, (8, 16, 32)))
 
+
+
+def boundary(penalty, lines="outflow"):
+    """A rho override: ``penalty(N, h)`` on the boundary edges of the
+    outflow lines x = 1 and y = 1 (or of the whole boundary, ``lines=
+    "all"``), with h the plus element's width across the edge; rho
+    elsewhere."""
+    def rho(grid, edges, eps):
+        n = grid.config.n
+        chosen = edges.minus == NO_ELEMENT
+        if lines == "outflow":
+            chosen &= edges.line == n
+        h = np.where(edges.orientation == "v", grid.h_x[edges.plus // n],
+                     grid.h_y[edges.plus % n])
+        return np.where(chosen, penalty(n, h), edges.rho)
+    return rho
+
+
 #: (label, settings) of each variant; unset settings keep the default:
 #: ``sigma`` maps k to the transition constant (k + 3/2), ``beta`` is the
-#: mesh's (beta1, beta2) ((2, 3)), and ``penalty`` maps N to the penalty
-#: that replaces rho on the ``edges`` "outflow" or "all" boundary edges
+#: mesh's (beta1, beta2) ((2, 3)), and ``rho`` maps (mesh, edges, eps) to
+#: the penalties that replace ``EdgeSet.rho``
 DEFAULT = ("default", {})
 MESH_VARIANTS = (
     DEFAULT,
@@ -48,12 +67,16 @@ MESH_VARIANTS = (
 )
 PENALTY_VARIANTS = (
     DEFAULT,
-    ("N", dict(edges="outflow", penalty=lambda n: n)),
+    ("N", dict(rho=boundary(lambda n, h: n))),
     ("N ln N (all boundary edges)",
-     dict(edges="all", penalty=lambda n: n * math.log(n))),
-    ("N^{3/2}", dict(edges="outflow", penalty=lambda n: n ** 1.5)),
+     dict(rho=boundary(lambda n, h: n * math.log(n), lines="all"))),
+    ("N^{3/2}", dict(rho=boundary(lambda n, h: n ** 1.5))),
     ("N^{3/2}, and β = (2, 2)",
-     dict(edges="outflow", penalty=lambda n: n ** 1.5, beta=(2.0, 2.0))),
+     dict(rho=boundary(lambda n, h: n ** 1.5), beta=(2.0, 2.0))),
+    ("1/h, h the element's width across the edge",
+     dict(rho=boundary(lambda n, h: 1.0 / h))),
+    ("ε × the default, on every edge",
+     dict(rho=lambda grid, edges, eps: eps * edges.rho)),
 )
 
 #: the parts of e_IN^2, as ``NormComponents`` names them
@@ -61,16 +84,13 @@ PARTS = ("grad", "reaction", "penalty", "inflow_outflow")
 
 
 def error_record(k, n, eps, sigma=lambda k: k + 1.5, beta=(2.0, 3.0),
-                 edges=None, penalty=None):
+                 rho=None):
     """ErrorRecord of the built-in problem under one variant."""
     grid = make_mesh(n, eps, sigma(k), *beta)
     edge_set = classify_edges(grid)
-    if edges is not None:
-        chosen = edge_set.minus == NO_ELEMENT
-        if edges == "outflow":
-            chosen &= edge_set.line == n
-        edge_set = dataclasses.replace(
-            edge_set, rho=np.where(chosen, penalty(n), edge_set.rho))
+    if rho is not None:
+        edge_set = dataclasses.replace(edge_set,
+                                       rho=rho(grid, edge_set, eps))
     problem = boundary_layer_problem(eps)
     dofmap = DofMap(k=k)
     x, _ = solve(assemble(grid, edge_set, dofmap, problem))

@@ -230,6 +230,18 @@ class TestRunStudy:
         # the rules the echo names are the ones the sweep applied
         assert report.rows[0].e_in != before
 
+    def test_interpolant_quadrature_echo_follows_the_named_rule(
+            self, monkeypatch):
+        config = small_config(n_list=(8,))
+        before = run_study(config).rows[0]
+        monkeypatch.setattr(analysis, "INTERP_QUAD_POINTS_OVER_K", 4)
+        report = run_study(config)
+        assert report.config_echo["interp_quad_order"] == "k + 4"
+        # the composite interpolant's L2 projection takes its moments by
+        # this rule; at k = 1 the vertices-edges-element one takes none
+        assert report.rows[0].e_pi != before.e_pi
+        assert report.rows[0].e_in == before.e_in
+
     def test_rows_follow_the_config_chains(self):
         config = small_config(k_list=(1, 2), eps_list=(1e-2, 1e-3))
         cells = [(dofmap.k, m.eps, m.n)

@@ -9,6 +9,7 @@ round-off.  Data that breaks one assumption must be rejected.  The
 examples are fixed by the profile in ``conftest.py``.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nipg2d import (CoefficientConditionError, DGFunction, DofMap,
-                    ProblemData, assemble, classify_edges, energy_norm)
+                    ProblemData, assemble, classify_edges, energy_norm, solve)
+from nipg2d.assembly import elimination_order
 
 from helpers import make_mesh
 from oracles import dense_bilinear_matrix, reversed_edges
@@ -113,6 +115,25 @@ def test_any_swapped_subset_of_edges_gives_the_same_system(
     assert gap <= 1e-14 * abs(base.matrix).max()
     np.testing.assert_array_equal(mixed.rhs, base.rhs)
     np.testing.assert_array_equal(mixed.order, base.order)
+
+
+@settings(max_examples=100)
+@given(k=degrees, n=cells, eps=eps_values, coeffs=coefficients(),
+       dirichlet=st.sampled_from(["weak", "strong"]))
+def test_solution_does_not_depend_on_the_elimination_order(
+        k, n, eps, coeffs, dirichlet):
+    """The solution is the same to 1e-15 of its norm whether the LU takes
+    the system's own order, SuperLU's minimum degree (no order) or whole
+    elements in the k = 1 element order."""
+    mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
+    system = assemble(mesh, edges, dofmap, problem, dirichlet)
+    ndl = dofmap.ndof_local
+    blocks = (elimination_order(n, 1)[::4, None] // 4 * ndl
+              + np.arange(ndl)).ravel()
+    x, *others = (solve(dataclasses.replace(system, order=order))[0]
+                  for order in (system.order, None, blocks))
+    for other in others:
+        assert np.linalg.norm(other - x) <= 1e-15 * np.linalg.norm(x)
 
 
 # the loop-based oracle takes up to 0.7 s per example at k = 3
