@@ -37,7 +37,6 @@ from test_acceptance import REFERENCE
 CHAINS = ((1, (8, 16, 32, 64)), (2, (8, 16, 32)), (3, (8, 16, 32)))
 
 
-
 def boundary(penalty, lines="outflow"):
     """A rho override: ``penalty(N, h)`` on the boundary edges of the
     outflow lines x = 1 and y = 1 (or of the whole boundary, ``lines=

@@ -1,4 +1,5 @@
-"""Property-based checks of the assembled NIPG system on random problems.
+"""Property-based checks of the assembled NIPG system and its solution on
+random problems.
 
 hypothesis draws the degree, the mesh, eps and problem data that meet
 the standing assumptions: affine b1 >= beta1 and b2 >= beta2 on the unit
