@@ -35,7 +35,7 @@ from .assembly import (CoefficientConditionError, DGFunction, DofMap,
 from .felib import (gauss_legendre, l2_projector, lagrange_1d,
                     lobatto_nodes, vee_operator)
 from .mesh import (EdgeSet, EdgeType, MeshConfig, ShishkinMesh, build_mesh,
-                   classify_edges, penalty_weight)
+                   classify_edges)
 from .problems import boundary_layer_problem
 from .solver import SolveReport, SolverConfig, solve
 
@@ -49,6 +49,5 @@ __all__ = [
     "broken_l2_error", "build_mesh", "classify_edges", "convergence_rates",
     "energy_norm", "gauss_legendre", "interpolate_composite",
     "interpolate_vee_global", "l2_projector", "lagrange_1d",
-    "lobatto_nodes", "penalty_weight", "solve", "supercloseness_error",
-    "vee_operator",
+    "lobatto_nodes", "solve", "supercloseness_error", "vee_operator",
 ]

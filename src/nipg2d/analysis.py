@@ -3,7 +3,7 @@
 The energy norm of a broken function v is
 
     |||v|||^2 = sum_K ( eps |grad v|^2_K + |c0 v|^2_K )
-              + sum_e rho_e |[v]|^2_e
+              + sum_e rho_e |[v]|^2_e        (rho_e: mesh.PENALTY_POWER)
               + 1/2 sum_K ( |v+|^2 on inflow-boundary faces
                             + |v+ - v-|^2 on interior inflow faces
                             + |v+|^2 on outflow-boundary faces ),
@@ -19,7 +19,7 @@ space:
 * the vertices-edges-element interpolant, applied elementwise; its local
   traces are fixed by shared edge data, so the global result is continuous;
 * a composite variant that replaces it by the local L2 projection on the
-  coarse-coarse region (and keeps it elsewhere).
+  coarse-coarse region (``MeshConfig.coarse_cells``) and keeps it elsewhere.
 """
 
 import numpy as np
@@ -70,8 +70,8 @@ def interpolate_composite(u, vee):
     mesh, dofmap = vee.mesh, vee.dofmap
     points, matrix = l2_projector(dofmap.k,
                                   dofmap.k + INTERP_QUAD_POINTS_OVER_K)
-    n = mesh.config.n
-    coarse = np.s_[:n // 2, :n // 2]       # the coarse-coarse region
+    n, m = mesh.config.n, mesh.config.coarse_cells
+    coarse = np.s_[:m, :m]                 # the coarse-coarse region
     _, _, x, y = _cells(mesh, *points.T)
     vals = _sample(u, x.reshape(n, n, -1)[coarse],
                    y.reshape(n, n, -1)[coarse])
@@ -187,20 +187,13 @@ def supercloseness_error(u_h, edges, problem):
     """
     if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
-    mesh, dofmap = u_h.mesh, u_h.dofmap
-    u = problem.exact
+    mesh, dofmap, u = u_h.mesh, u_h.dofmap, problem.exact
     vee = interpolate_vee_global(u, mesh, dofmap)
-    comp = interpolate_composite(u, vee)
-    diff_in = DGFunction(mesh, dofmap, vee.coefficients - u_h.coefficients)
-    diff_pi = DGFunction(mesh, dofmap, comp.coefficients - u_h.coefficients)
-    parts_in = energy_norm(diff_in, edges, problem)
-    parts_pi = energy_norm(diff_pi, edges, problem)
-    return ErrorRecord(
-        e_in=parts_in.value,
-        e_pi=parts_pi.value,
-        e_l2=broken_l2_error(u, u_h),
-        components=parts_in,
-    )
+    parts_in, parts_pi = (energy_norm(
+        DGFunction(mesh, dofmap, w.coefficients - u_h.coefficients), edges,
+        problem) for w in (vee, interpolate_composite(u, vee)))
+    return ErrorRecord(e_in=parts_in.value, e_pi=parts_pi.value,
+                       e_l2=broken_l2_error(u, u_h), components=parts_in)
 
 
 def convergence_rates(errors):

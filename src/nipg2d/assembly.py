@@ -451,12 +451,17 @@ def boundary_dofs(mesh, dofmap):
 
 def _eliminate_boundary_dofs(system, mesh, dofmap):
     """Strong homogeneous Dirichlet: identity rows/zero columns on
-    boundary-node dofs."""
+    boundary-node dofs, written into the assembled CSR arrays."""
     bdofs = boundary_dofs(mesh, dofmap)
-    keep = np.ones(system.rhs.size)
-    keep[bdofs] = 0.0
     a = system.matrix
-    a.data *= np.repeat(keep, np.diff(a.indptr)) * keep[a.indices]
+    on_boundary = np.zeros(system.rhs.size, dtype=bool)
+    on_boundary[bdofs] = True
+    pos = np.flatnonzero(np.repeat(on_boundary, np.diff(a.indptr)))
+    # the boundary face's penalty makes each boundary row's diagonal stored
+    diagonal = pos[a.indices[pos] == a.indptr.searchsorted(pos, "right") - 1]
+    assert diagonal.size == bdofs.size
+    a.data[on_boundary[a.indices]] = 0.0
+    a.data[pos] = 0.0
+    a.data[diagonal] = 1.0
     a.eliminate_zeros()
-    system.matrix = a + diags(1.0 - keep, format="csr")
     system.rhs[bdofs] = 0.0

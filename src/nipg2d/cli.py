@@ -40,8 +40,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import analysis, assembly, mesh, problems, solver
+
+#: default transition constant per degree: sigma = k + SIGMA_OVER_K
+SIGMA_OVER_K = Fraction(3, 2)
 
 #: default mesh sequences per degree (memory-bounded doubling chains)
 DEFAULT_N_BY_K = {
@@ -69,7 +73,7 @@ class StudyConfig:
     k_list: tuple
     eps_list: tuple
     n_list: tuple | None = None        # None: per-degree default
-    sigma: float | None = None         # None: k + 3/2 per degree
+    sigma: float | None = None         # None: k + SIGMA_OVER_K
     beta1: float = problems.BETA1
     beta2: float = problems.BETA2
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
@@ -94,7 +98,8 @@ class StudyConfig:
         per-degree rules; DofMap and MeshConfig check their own."""
         for k in self.k_list:
             dofmap = assembly.DofMap(k=k)
-            sigma = k + 1.5 if self.sigma is None else self.sigma
+            sigma = (float(k + SIGMA_OVER_K) if self.sigma is None
+                     else self.sigma)
             if sigma < k + 0.5:
                 raise ValueError(
                     f"sigma={sigma} is below k + 1/2 = {k + 0.5} for "
@@ -205,7 +210,7 @@ def run_study(config):
         "problem": "boundary_layer",
         "k": _fmt_list(config.k_list),
         "eps": _fmt_list(config.eps_list),
-        "sigma": ("k + 3/2" if config.sigma is None
+        "sigma": (f"k + {SIGMA_OVER_K}" if config.sigma is None
                   else _fmt_value(config.sigma)),
         "beta1": _fmt_value(config.beta1),
         "beta2": _fmt_value(config.beta2),

@@ -3,15 +3,16 @@
 The mesh is the tensor product of two one-dimensional two-band grids: in
 each direction a transition point lambda = min(1/2, sigma*eps*ln(N)/beta)
 splits [0, 1] into a coarse band [0, 1-lambda] and a fine band [1-lambda, 1],
-each divided into N/2 equal cells.  The fine bands resolve the exponential
-outflow layers at x = 1 and y = 1 of a convection-diffusion problem whose
-convection field has componentwise positive lower bounds (beta1, beta2).
+each divided into N/2 equal cells (the split :attr:`MeshConfig.coarse_cells`
+states once).  The fine bands resolve the exponential outflow layers at
+x = 1 and y = 1 of a convection-diffusion problem whose convection field
+has componentwise positive lower bounds (beta1, beta2).
 
 Element numbering runs bottom-to-top then left-to-right: element (i, j)
 (column i, row j) has index i*N + j.
 
-Mesh edges are open segments classified into four families that drive the
-interior-penalty weights:
+Mesh edges are open segments classified into four families, whose
+interior-penalty weights (powers of N in :data:`PENALTY_POWER`) are:
 
 * M1 -- long edges inside the coarse region [0, 1-lambda_x) x [0, 1-lambda_y),
   penalty 1;
@@ -52,13 +53,6 @@ PENALTY_POWER = {EdgeType.M1: 0, EdgeType.M2: 2, EdgeType.M3: 1,
                  EdgeType.M4: 1}
 
 
-def penalty_weight(edge_type, n):
-    """Penalty parameter rho for an edge family (an :class:`EdgeType` or
-    its integer code) on an N x N mesh: N to the family's
-    :data:`PENALTY_POWER`."""
-    return float(n) ** PENALTY_POWER[EdgeType(edge_type)]
-
-
 @dataclass(frozen=True)
 class MeshConfig:
     """Parameters defining a boundary-layer mesh; construction raises
@@ -96,6 +90,11 @@ class MeshConfig:
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
 
+    @property
+    def coarse_cells(self):
+        """Cells per direction in the coarse band, N/2; the fine has N/2."""
+        return self.n // 2
+
 
 @dataclass
 class ShishkinMesh:
@@ -129,17 +128,16 @@ class ShishkinMesh:
         return self.config.n ** 2
 
 
-def _band_points(lam, n):
-    """One-dimensional two-band grid: N/2 equal cells on [0, 1-lam] and
-    N/2 equal cells on [1-lam, 1]."""
-    half = n // 2
+def _band_points(lam, config):
+    """One-dimensional two-band grid: equal cells on [0, 1-lam] and on
+    [1-lam, 1], split as :attr:`MeshConfig.coarse_cells` says."""
+    n, half = config.n, config.coarse_cells
     i = np.arange(n + 1, dtype=float)
     pts = np.where(
         i <= half,
         2.0 * (1.0 - lam) * i / n,
         1.0 - lam + 2.0 * lam * (i - half) / n,
     )
-    pts[0] = 0.0
     pts[half] = 1.0 - lam
     pts[n] = 1.0
     return pts
@@ -165,10 +163,9 @@ def build_mesh(config):
             f"eps={eps} exceeds 1/N={1.0 / n}; the two-band mesh targets the "
             "layer-dominated regime eps <= 1/N", UserWarning, stacklevel=2)
 
-    lam_x = min(0.5, sigma * eps * math.log(n) / config.beta1)
-    lam_y = min(0.5, sigma * eps * math.log(n) / config.beta2)
-    x_pts = _band_points(lam_x, n)
-    y_pts = _band_points(lam_y, n)
+    lam_x, lam_y = (min(0.5, sigma * eps * math.log(n) / beta)
+                    for beta in (config.beta1, config.beta2))
+    x_pts, y_pts = _band_points(lam_x, config), _band_points(lam_y, config)
     return ShishkinMesh(config, lam_x, lam_y, x_pts, y_pts,
                         np.diff(x_pts), np.diff(y_pts))
 
@@ -236,8 +233,7 @@ def classify_edges(mesh):
         Deterministic order: horizontal edges sorted by (line, cell), then
         vertical edges sorted by (line, cell).
     """
-    n = mesh.config.n
-    half = n // 2
+    n, half = mesh.config.n, mesh.config.coarse_cells
     line = np.repeat(np.arange(n + 1), n)
     cell = np.tile(np.arange(n), n + 1)
 
@@ -248,7 +244,8 @@ def classify_edges(mesh):
                       np.where(line == half, EdgeType.M4,
                                np.where(line < half, EdgeType.M1,
                                         EdgeType.M2)))
-    rho = np.array([penalty_weight(t, n) for t in EdgeType])[family - 1]
+    power = np.array([PENALTY_POWER[t] for t in EdgeType])
+    rho = float(n) ** power[family - 1]
 
     # adjacent elements: "hi" above / right of the line, "lo" below / left;
     # the last line has only "lo"

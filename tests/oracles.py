@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from nipg2d.felib import gauss_legendre, lagrange_1d
-from nipg2d.mesh import NO_ELEMENT, EdgeType, penalty_weight
+from nipg2d.mesh import NO_ELEMENT, EdgeType
 
 
 def basis_2d(k, xi, eta):
@@ -90,9 +90,11 @@ def census_by_geometry(mesh):
 
 
 def _edge_rho(mesh, orientation, line, cell):
-    return penalty_weight(
-        classify_edge_by_geometry(mesh, orientation, line, cell),
-        mesh.config.n)
+    """The paper's penalty schedule: 1, N^2, N, N on M1 to M4."""
+    n = float(mesh.config.n)
+    return {EdgeType.M1: 1.0, EdgeType.M2: n * n, EdgeType.M3: n,
+            EdgeType.M4: n}[
+        classify_edge_by_geometry(mesh, orientation, line, cell)]
 
 
 def _all_edges(mesh):

@@ -427,10 +427,14 @@ class TestSparsityAndMetadata:
         assert matrix[first][:, second].nnz == 0
         assert matrix[second][:, first].nnz == 0
 
-    @pytest.mark.parametrize("k,n", [(2, 16), (1, 32)])
-    def test_peak_memory_is_a_few_csr_copies(self, k, n):
+    @pytest.mark.parametrize("k,n,dirichlet", [
+        (2, 16, "weak"), (1, 32, "weak"), (2, 16, "strong"), (1, 32, "strong"),
+    ], ids=["2-16", "1-32", "2-16-strong", "1-32-strong"])
+    def test_peak_memory_is_a_few_csr_copies(self, k, n, dirichlet):
         # Blocks go to CSR via their block-CSR form; a COO round trip
-        # of the same matrix peaked near 10.6x.
+        # of the same matrix peaked near 10.6x.  Strong Dirichlet data
+        # is written into that CSR; adding an identity to a copy of it
+        # peaked near 4.8x.
         problem = boundary_layer_problem(1e-4)
         mesh = make_mesh(n, problem.eps, k + 1.5)
         edges = classify_edges(mesh)
@@ -438,7 +442,7 @@ class TestSparsityAndMetadata:
         assemble(mesh, edges, dofmap, problem)   # fill the table caches
         tracemalloc.start()
         try:
-            matrix = assemble(mesh, edges, dofmap, problem).matrix
+            matrix = assemble(mesh, edges, dofmap, problem, dirichlet).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -228,6 +229,17 @@ class TestRunStudy:
         assert report.config_echo["quad_order"] == "k + 4"
         assert report.config_echo["error_quad_order"] == "k + 5"
         # the rules the echo names are the ones the sweep applied
+        assert report.rows[0].e_in != before
+
+    def test_sigma_echo_follows_the_named_rule(self, monkeypatch):
+        config = small_config(n_list=(8,))
+        assert [m.sigma for _, ms in config.chains() for m in ms] == [2.5]
+        before = run_study(config).rows[0].e_in
+        monkeypatch.setattr(cli, "SIGMA_OVER_K", Fraction(5, 2))
+        assert [m.sigma for _, ms in config.chains() for m in ms] == [3.5]
+        report = run_study(config)
+        assert report.config_echo["sigma"] == "k + 5/2"
+        # the rule the echo names is the one the sweep's meshes used
         assert report.rows[0].e_in != before
 
     def test_interpolant_quadrature_echo_follows_the_named_rule(

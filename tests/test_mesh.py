@@ -12,7 +12,6 @@ from nipg2d.mesh import (
     MeshConfig,
     build_mesh,
     classify_edges,
-    penalty_weight,
 )
 
 import oracles
@@ -122,10 +121,6 @@ class TestEdgeClassification:
                     EdgeType.M3: float(n), EdgeType.M4: float(n)}
         for family, rho in zip(edges.family, edges.rho):
             assert rho == expected[EdgeType(family)]
-        for t, rho in expected.items():
-            assert penalty_weight(t, n) == rho
-            assert penalty_weight(int(t), n) == rho
-            assert penalty_weight(np.int64(t), n) == rho
 
     def test_transition_line_edge_is_m4(self):
         grid = make_mesh(8, 1e-3, 2.5)

@@ -19,11 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nipg2d import (CoefficientConditionError, DGFunction, DofMap,
-                    ProblemData, assemble, classify_edges, energy_norm, solve)
+                    ProblemData, assemble, classify_edges, energy_norm,
+                    interpolate_vee_global, solve)
 from nipg2d.assembly import elimination_order
+from nipg2d.mesh import NO_ELEMENT
 
 from helpers import make_mesh
-from oracles import dense_bilinear_matrix, reversed_edges
+from oracles import (dense_bilinear_matrix, edge_segment, reversed_edges,
+                     trace_pair)
 
 degrees = st.integers(1, 3)
 cells = st.sampled_from([2, 4, 8])
@@ -160,3 +163,49 @@ def test_data_that_breaks_an_assumption_is_rejected(k, n, eps, coeffs):
                    np.zeros(mesh.n_elements * dofmap.ndof_local))
     with pytest.raises(CoefficientConditionError):
         energy_norm(v, edges, problem)
+
+
+@settings(max_examples=100)
+@given(k=degrees, n=cells, eps=eps_values,
+       a=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_vee_interpolant_is_continuous(k, n, eps, a):
+    """The two traces of the vertices-edges-element interpolant of a
+    smooth function with an outflow layer agree on every interior edge to
+    1e-12 of the function's largest value."""
+    def u(x, y):
+        return (a[0] + np.sin(a[1] * x + a[2] * y + a[3])
+                + a[4] * np.exp(-(1.0 - x) / eps) * np.cos(a[5] * y))
+
+    mesh = make_mesh(n, eps, k + 1.5)
+    edges = classify_edges(mesh)
+    v = interpolate_vee_global(u, mesh, DofMap(k))
+    scale = np.abs(u(*np.meshgrid(mesh.x_pts, mesh.y_pts))).max()
+    for idx in np.flatnonzero(edges.minus != NO_ELEMENT):
+        _, (lo, hi) = edge_segment(mesh, edges, idx)
+        plus, minus = trace_pair(v, edges, idx, np.linspace(lo, hi, 5)[1:-1])
+        assert np.abs(plus - minus).max() <= 1e-12 * scale
+
+
+@settings(max_examples=100)
+@given(k=st.integers(2, 3), n=cells, eps=eps_values, coeffs=coefficients(),
+       pq=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_solution_reproduces_a_solution_in_q_k(k, n, eps, coeffs, pq):
+    """With f formed from u = x(1-x)y(1-y)p(x)q(y), deg p, q <= k - 2,
+    the weak-Dirichlet solution is the interpolant of u, which is u, to
+    1e-10 of its largest coefficient."""
+    mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
+    bubble = np.polynomial.Polynomial([0.0, 1.0, -1.0])
+    g = bubble * np.polynomial.Polynomial(pq[:k - 1])
+    h = bubble * np.polynomial.Polynomial(pq[2:k + 1])
+
+    def f(x, y):
+        return (-eps * (g.deriv(2)(x) * h(y) + g(x) * h.deriv(2)(y))
+                + problem.b1(x, y) * g.deriv()(x) * h(y)
+                + problem.b2(x, y) * g(x) * h.deriv()(y)
+                + problem.c(x, y) * g(x) * h(y))
+
+    problem = dataclasses.replace(problem, f=f)
+    x, _ = solve(assemble(mesh, edges, dofmap, problem))
+    expected = interpolate_vee_global(lambda x, y: g(x) * h(y), mesh,
+                                      dofmap).coefficients
+    assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
