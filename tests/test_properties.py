@@ -6,8 +6,10 @@ the standing assumptions: affine b1 >= beta1 and b2 >= beta2 on the unit
 square, a constant c with c - div(b)/2 >= 0 (at, just above or well
 above 0) and an affine load.  With such data the Gauss rules of the
 assembly and of the energy norm are exact, so the properties hold to
-round-off.  Data that breaks one assumption must be rejected.  The
-examples are fixed by the profile in ``conftest.py``.
+round-off.  Data that breaks one assumption must be rejected.  Two
+properties replace the load: the vee interpolant's continuity takes a
+smooth u with an outflow layer, and exact reproduction a u in Q_k with f
+formed from it.  The examples are fixed by the profile in ``conftest.py``.
 """
 
 import dataclasses
@@ -171,7 +173,7 @@ def test_data_that_breaks_an_assumption_is_rejected(k, n, eps, coeffs):
 def test_vee_interpolant_is_continuous(k, n, eps, a):
     """The two traces of the vertices-edges-element interpolant of a
     smooth function with an outflow layer agree on every interior edge to
-    1e-12 of the function's largest value."""
+    1e-12 of the function's largest value at the mesh nodes."""
     def u(x, y):
         return (a[0] + np.sin(a[1] * x + a[2] * y + a[3])
                 + a[4] * np.exp(-(1.0 - x) / eps) * np.cos(a[5] * y))
@@ -193,18 +195,18 @@ def test_solution_reproduces_a_solution_in_q_k(k, n, eps, coeffs, pq):
     """With f formed from u = x(1-x)y(1-y)p(x)q(y), deg p, q <= k - 2,
     the weak-Dirichlet solution is the interpolant of u, which is u, to
     1e-10 of its largest coefficient."""
-    mesh, edges, dofmap, problem = discretize(k, n, eps, coeffs)
+    mesh, edges, dofmap, base = discretize(k, n, eps, coeffs)
     bubble = np.polynomial.Polynomial([0.0, 1.0, -1.0])
     g = bubble * np.polynomial.Polynomial(pq[:k - 1])
     h = bubble * np.polynomial.Polynomial(pq[2:k + 1])
 
     def f(x, y):
         return (-eps * (g.deriv(2)(x) * h(y) + g(x) * h.deriv(2)(y))
-                + problem.b1(x, y) * g.deriv()(x) * h(y)
-                + problem.b2(x, y) * g(x) * h.deriv()(y)
-                + problem.c(x, y) * g(x) * h(y))
+                + base.b1(x, y) * g.deriv()(x) * h(y)
+                + base.b2(x, y) * g(x) * h.deriv()(y)
+                + base.c(x, y) * g(x) * h(y))
 
-    problem = dataclasses.replace(problem, f=f)
+    problem = dataclasses.replace(base, f=f)
     x, _ = solve(assemble(mesh, edges, dofmap, problem))
     expected = interpolate_vee_global(lambda x, y: g(x) * h(y), mesh,
                                       dofmap).coefficients
