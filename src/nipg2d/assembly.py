@@ -101,17 +101,17 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
-    """Assembled matrix and load vector.
+    """Assembled matrix, load vector and the LU's elimination order.
 
-    ``order``, when set, lists the dofs in the order that the solver's LU,
-    complete or incomplete, eliminates them; :func:`assemble` sets
-    :func:`elimination_order`, and ``None`` leaves the choice to the
-    solver.
+    ``order`` lists the dofs in the order that the solver's LU, complete
+    or incomplete, eliminates them: the solver factors P A P^T, with row
+    and column ``order[i]`` of A at position i.  :func:`assemble` sets
+    :func:`elimination_order`.
     """
 
     matrix: csr_matrix
     rhs: np.ndarray
-    order: np.ndarray | None = None
+    order: np.ndarray
 
 
 @dataclass

@@ -8,11 +8,9 @@ residual |b - Ax| / |b| that decides ``converged``.
 Both paths factor with SuperLU in its symmetric-pattern mode, one
 ordering applied to rows and columns alike, with diagonal pivots preferred
 (threshold 1e-4).  The ordering is the system's ``order``
-(:func:`~nipg2d.assembly.elimination_order` for an assembled system) when
-it has one, and SuperLU's minimum degree on the pattern of A^T + A
-otherwise.  The ordering matters as much to an incomplete LU of a
-convection-diffusion matrix (Benzi, Szyld and van Duin, SIAM J. Sci.
-Comput. 20, 1999).
+(:func:`~nipg2d.assembly.elimination_order` for an assembled system).
+It matters as much to an incomplete LU of a convection-diffusion matrix
+(Benzi, Szyld and van Duin, SIAM J. Sci. Comput. 20, 1999).
 
 Symmetric-pattern mode suits the NIPG matrix.  Its pattern is symmetric,
 since every face couples its two elements both ways.  Its symmetric part
@@ -149,26 +147,19 @@ def _factor(matrix, order, factorize, **drop):
     """(Incomplete) LU of a CSR matrix A in symmetric-pattern mode, by
     ``factorize`` (``splu`` or ``spilu``, with the ``drop`` options).
 
-    With an ``order``, P A P^T (row and column ``order[i]`` of A moved to
-    position i) is factored in natural order; without one, SuperLU orders
-    A by minimum degree on its A^T + A pattern.  Only the rows are
-    gathered into a new CSR copy; their column indices are relabelled in
-    it, and one CSR-to-CSC pass sorts the entries into columns.  Returns
-    the solve function ``(b, trans="N") -> x`` for A and the LU fill.
+    P A P^T (row and column ``order[i]`` of A moved to position i) is
+    factored in natural order.  Only the rows are gathered into a new CSR
+    copy; their column indices are relabelled in it, and one CSR-to-CSC
+    pass sorts the entries into columns.  Returns the solve function
+    ``(b, trans="N") -> x`` for A and the LU fill.
     """
-    if order is None:
-        permuted = matrix.tocsc()
-    else:
-        position = np.empty_like(matrix.indices, shape=order.size)
-        position[order] = np.arange(order.size)
-        permuted = matrix[order]
-        permuted.indices = position[permuted.indices]
-        permuted = permuted.tocsc()
-    lu = factorize(permuted, permc_spec="MMD_AT_PLUS_A" if order is None
-                   else "NATURAL", diag_pivot_thresh=1e-4,
+    position = np.empty_like(matrix.indices, shape=order.size)
+    position[order] = np.arange(order.size)
+    permuted = matrix[order]
+    permuted.indices = position[permuted.indices]
+    permuted = permuted.tocsc()
+    lu = factorize(permuted, permc_spec="NATURAL", diag_pivot_thresh=1e-4,
                    options={"SymmetricMode": True}, **drop)
-    if order is None:
-        return lu.solve, lu.nnz
 
     # a plain closure: an object holding the LU in a reference cycle
     # would keep it alive until the cycle collector runs
@@ -226,8 +217,7 @@ def solve(system, config=None):
     if not np.all(np.isfinite(matrix.data)) or not np.all(np.isfinite(rhs)):
         raise ValueError("system contains non-finite entries")
     order = system.order
-    if order is not None and not np.array_equal(np.sort(order),
-                                                np.arange(rows)):
+    if not np.array_equal(np.sort(order), np.arange(rows)):
         raise ValueError("order must be a permutation of the unknowns")
 
     condition = None

@@ -1,5 +1,6 @@
 """How the reference-table gap moves with the mesh and the outflow-boundary
-penalty, and where the energy norm's weight sits.
+penalty, where the energy norm's weight sits, and which edge family's
+penalty the supercloseness bound rests on.
 
 Not a test: pytest does not collect this file.  Run it from the
 repository root with
@@ -17,7 +18,10 @@ a penalty variant overrides ``EdgeSet.rho`` through
 ``dataclasses.replace``, and the norm is measured with the same edges, so
 the library gains no option.  A third table gives each part's share of
 e_IN^2 at the finest N of each chain, read from
-``ErrorRecord.components``.
+``ErrorRecord.components``.  A fourth changes the power of N in one edge
+family's rho at a time (``mesh.PENALTY_POWER``: M1 1, M2 N^2, M3 and M4
+N) and gives C_N = e_IN (N / ln N)^(k+1/2) along each chain, with its
+ratio, finest N over N = 8.
 """
 
 import dataclasses
@@ -28,10 +32,10 @@ import numpy as np
 
 from nipg2d import (DGFunction, DofMap, assemble, boundary_layer_problem,
                     classify_edges, solve, supercloseness_error)
-from nipg2d.mesh import NO_ELEMENT
+from nipg2d.mesh import NO_ELEMENT, PENALTY_POWER, EdgeType
 
 from helpers import make_mesh
-from test_acceptance import REFERENCE
+from test_acceptance import REFERENCE, supercloseness_constant
 
 #: (k, mesh sizes) of each chain; eps and published e_IN from REFERENCE
 CHAINS = ((1, (8, 16, 32, 64)), (2, (8, 16, 32)), (3, (8, 16, 32)))
@@ -78,6 +82,28 @@ PENALTY_VARIANTS = (
      dict(rho=lambda grid, edges, eps: eps * edges.rho)),
 )
 
+
+def family_powers(**powers):
+    """A rho override: N to the given power on the named edge families,
+    the schedule's power on the others."""
+    power = {**PENALTY_POWER, **{EdgeType[t]: p for t, p in powers.items()}}
+    table = np.array([power[t] for t in EdgeType], dtype=float)
+
+    def rho(grid, edges, eps):
+        return float(grid.config.n) ** table[edges.family - 1]
+    return rho
+
+
+FAMILY_VARIANTS = (
+    DEFAULT,
+    ("M2 → N", dict(rho=family_powers(M2=1))),
+    ("M2 → 1", dict(rho=family_powers(M2=0))),
+    ("M3 → 1", dict(rho=family_powers(M3=0))),
+    ("M4 → 1", dict(rho=family_powers(M4=0))),
+    ("M1 → N", dict(rho=family_powers(M1=1))),
+    ("M3 → N²", dict(rho=family_powers(M3=2))),
+)
+
 #: the parts of e_IN^2, as ``NormComponents`` names them
 PARTS = ("grad", "reaction", "penalty", "inflow_outflow")
 
@@ -108,7 +134,8 @@ def print_table(header, rows):
 def main():
     start = time.perf_counter()
     records = {}                         # label -> one record list per chain
-    for label, settings in dict(MESH_VARIANTS + PENALTY_VARIANTS).items():
+    for label, settings in dict(MESH_VARIANTS + PENALTY_VARIANTS
+                                + FAMILY_VARIANTS).items():
         records[label] = [
             [error_record(k, n, REFERENCE[k]["eps"], **settings) for n in ns]
             for k, ns in CHAINS]
@@ -134,9 +161,9 @@ def main():
         print_table([first] + header, rows)
 
     rows = []
-    for label, chains in records.items():
+    for label, _ in MESH_VARIANTS + PENALTY_VARIANTS[1:]:
         row = [label]
-        for chain in chains:
+        for chain in records[label]:
             finest = chain[-1]
             parts = dataclasses.asdict(finest.components)
             row.append("/".join(f"{100 * parts[p] / finest.e_in ** 2:.1f}"
@@ -145,6 +172,19 @@ def main():
     print_table(["% of e_IN² at the finest N"]
                 + [f"k={k} N={ns[-1]} ({'/'.join(PARTS)})"
                    for k, ns in CHAINS], rows)
+
+    rows = []
+    for label, _ in FAMILY_VARIANTS:
+        row = [label]
+        for (k, ns), chain in zip(CHAINS, records[label]):
+            constants = [supercloseness_constant(k, n, r.e_in)
+                         for n, r in zip(ns, chain)]
+            row.append("/".join(f"{c:.3f}" for c in constants))
+            row.append(f"{constants[-1] / constants[0]:.2f}")
+        rows.append(row)
+    print_table(["penalty family"]
+                + [f"k={k} N={ns[0]}…{ns[-1]} {column}"
+                   for k, ns in CHAINS for column in ("C_N", "ratio")], rows)
     print(f"run time {time.perf_counter() - start:.1f} s")
 
 

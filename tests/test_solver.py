@@ -21,7 +21,7 @@ from helpers import make_case, make_mesh
 def diagonal_system(n=50):
     d = np.arange(1.0, n + 1.0)
     rhs = np.sin(np.arange(n))
-    return SparseSystem(diags(d).tocsr(), rhs), rhs / d
+    return SparseSystem(diags(d).tocsr(), rhs, np.arange(n)), rhs / d
 
 
 def permuted_identity_with_noise(n=400, density=0.005, scale=1e-6, seed=7):
@@ -106,7 +106,8 @@ class TestDirect:
         # the LU prefers diagonal pivots; its threshold must still reject
         # diagonals that are tiny next to the rest of their column
         rhs = np.cos(np.arange(matrix.shape[0]))
-        x, report = solve(SparseSystem(matrix, rhs))
+        x, report = solve(SparseSystem(matrix, rhs,
+                                       np.arange(matrix.shape[0])))
         residual = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
         assert residual <= 1e-14
         assert report.residual <= 1e-14
@@ -115,7 +116,7 @@ class TestDirect:
         # SuperLU's error, documented on solve; no assembled NIPG matrix
         # is singular
         system = SparseSystem(csr_matrix([[0.0, 0.0], [0.0, 1.0]]),
-                              np.array([1.0, 1.0]))
+                              np.array([1.0, 1.0]), np.arange(2))
         with pytest.raises(RuntimeError, match="exactly singular"):
             solve(system)
 
@@ -127,9 +128,18 @@ class TestDirect:
         assert iterative.lu_fill is None
 
 
-def unordered(system):
-    """The same system without its elimination order."""
-    return dataclasses.replace(system, order=None)
+def natural_order(system):
+    """The same system, eliminated in dof order."""
+    return dataclasses.replace(system,
+                               order=np.arange(system.rhs.size))
+
+
+def minimum_degree_lu(matrix):
+    """SuperLU's minimum degree on the pattern of A^T + A, with the
+    solver's pivoting: the reference ordering, which no solver path
+    takes."""
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
 
 
 class TestOrdering:
@@ -139,33 +149,32 @@ class TestOrdering:
     def test_errors_do_not_depend_on_the_order(self, k, n, dirichlet):
         case = make_case(k=k, n=n, eps=1e-4, dirichlet=dirichlet)
         records = []
-        for system in (case.system, unordered(case.system)):
+        for system in (case.system, natural_order(case.system)):
             x, report = solve(system)
             assert report.converged
             records.append(supercloseness_error(
                 DGFunction(case.mesh, case.dofmap, x), case.edges,
                 case.problem))
-        ordered, plain = records
+        ordered, natural = records
         for name in ("e_in", "e_pi", "e_l2"):
             assert getattr(ordered, name) == pytest.approx(
-                getattr(plain, name), rel=1e-12, abs=0.0), name
+                getattr(natural, name), rel=1e-12, abs=0.0), name
 
     def test_element_order_reduces_fill(self):
         case = make_case(k=1, n=32, eps=1e-5)
         _, ordered = solve(case.system)
-        _, plain = solve(unordered(case.system))
-        assert ordered.lu_fill < plain.lu_fill
+        assert ordered.lu_fill < minimum_degree_lu(case.system.matrix).nnz
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_solutions_do_not_depend_on_the_order(self, k):
         # refinement with extended-precision residuals takes the solution
-        # to double precision whatever the LU (1e-17 to 1e-16 apart here);
-        # refinement with double residuals leaves 5e-15 to 2e-14
+        # to double precision whatever the LU: the system's order and dof
+        # order give solutions 7e-18 to 3e-17 apart here
         case = make_case(k=k, n=8, eps=1e-4)
         x_ordered, _ = solve(case.system)
-        x_plain, _ = solve(unordered(case.system))
-        assert (np.linalg.norm(x_ordered - x_plain)
-                <= 1e-15 * np.linalg.norm(x_plain))
+        x_natural, _ = solve(natural_order(case.system))
+        assert (np.linalg.norm(x_ordered - x_natural)
+                <= 1e-15 * np.linalg.norm(x_natural))
 
     def test_dissection_order_reduces_fill_at_k3(self):
         case = make_case(k=3, n=16, eps=1e-5)
@@ -183,20 +192,15 @@ class TestOrdering:
             with pytest.raises(ValueError, match="permutation"):
                 solve(dataclasses.replace(system, order=order))
 
-    @pytest.mark.parametrize("ordered, method, factorize", [
-        (True, "iterative", spilu),
-        (False, "iterative", spilu),
-        (True, "direct", splu),
-        (False, "direct", splu),
-    ], ids=["ordered", "unordered", "direct-ordered", "direct-unordered"])
-    def test_ilu_factors_the_system_in_its_order(self, monkeypatch,
-                                                 ordered, method,
+    @pytest.mark.parametrize("method, factorize", [
+        ("iterative", spilu),
+        ("direct", splu),
+    ], ids=["ordered", "direct-ordered"])
+    def test_ilu_factors_the_system_in_its_order(self, monkeypatch, method,
                                                  factorize):
         # the incomplete LU, and the direct path's LU, factor P A P^T, the
-        # assembled matrix itself, in natural order, or A under minimum
-        # degree when the system has no order
-        case = make_case(k=1, n=8, eps=1e-3)
-        system = case.system if ordered else unordered(case.system)
+        # assembled matrix itself, in natural order
+        system = make_case(k=1, n=8, eps=1e-3).system
         calls = []
 
         def recording(matrix, **kwargs):
@@ -207,13 +211,10 @@ class TestOrdering:
         _, report = solve(system, SolverConfig(method=method))
         assert report.converged
         [(factored, kwargs)] = calls
-        matrix = system.matrix.toarray()
-        if ordered:
-            order = system.order
-            matrix = matrix[np.ix_(order, order)]
-        np.testing.assert_array_equal(factored, matrix)
-        assert kwargs["permc_spec"] == ("NATURAL" if ordered
-                                        else "MMD_AT_PLUS_A")
+        order = system.order
+        np.testing.assert_array_equal(
+            factored, system.matrix.toarray()[np.ix_(order, order)])
+        assert kwargs["permc_spec"] == "NATURAL"
         assert kwargs["diag_pivot_thresh"] == 1e-4
         assert kwargs["options"] == {"SymmetricMode": True}
 
@@ -224,8 +225,8 @@ class TestOrdering:
                                        dirichlet):
         # the premise of the module docstring: the LU of an assembled
         # system interchanges no rows, in its order (perm_c is the
-        # identity under NATURAL) or under minimum degree (perm_r is the
-        # symmetric ordering perm_c itself)
+        # identity under NATURAL) and under SuperLU's minimum degree
+        # (perm_r is the symmetric ordering perm_c itself)
         case = make_case(k=k, n=8, eps=eps, dirichlet=dirichlet)
         factors = []
 
@@ -234,12 +235,11 @@ class TestOrdering:
             return factors[-1]
 
         monkeypatch.setattr(solver, "splu", recording_splu)
-        for system in (case.system, unordered(case.system)):
-            solve(system)
-        ordered, plain = factors
-        rows = case.dofs
-        np.testing.assert_array_equal(ordered.perm_r, np.arange(rows))
-        np.testing.assert_array_equal(plain.perm_r, plain.perm_c)
+        solve(case.system)
+        [ordered] = factors
+        np.testing.assert_array_equal(ordered.perm_r, np.arange(case.dofs))
+        reference = minimum_degree_lu(case.system.matrix)
+        np.testing.assert_array_equal(reference.perm_r, reference.perm_c)
 
     @pytest.mark.parametrize("dirichlet", ["weak", "strong"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -248,16 +248,16 @@ class TestOrdering:
         case = make_case(k=k, n=8, eps=1e-4, dirichlet=dirichlet)
         cfg = SolverConfig(method="iterative")
         records = []
-        for system in (case.system, unordered(case.system)):
+        for system in (case.system, natural_order(case.system)):
             x, report = solve(system, cfg)
             assert report.converged
             records.append(supercloseness_error(
                 DGFunction(case.mesh, case.dofmap, x), case.edges,
                 case.problem))
-        ordered, plain = records
+        ordered, natural = records
         for name in ("e_in", "e_pi", "e_l2"):
             assert getattr(ordered, name) == pytest.approx(
-                getattr(plain, name), rel=1e-8, abs=0.0), name
+                getattr(natural, name), rel=1e-8, abs=0.0), name
 
     def test_solves_leave_no_reference_cycles(self):
         # an LU kept alive by a reference cycle would stay in memory until
@@ -274,7 +274,6 @@ class TestOrdering:
             system = assemble(grid, edges, DofMap(k=1), problem)
             for config in configs:
                 solve(system, config)
-            solve(unordered(system))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -344,7 +343,7 @@ class TestIterative:
         # a singular matrix: the incomplete LU fails and GMRES cannot
         # reach the inconsistent right-hand side
         system = SparseSystem(csr_matrix(np.ones((2, 2))),
-                              np.array([1.0, 0.0]))
+                              np.array([1.0, 0.0]), np.arange(2))
         _, report = solve(system, SolverConfig(method="iterative"))
         assert not report.converged
         assert "ILU preconditioner failed" in report.message
@@ -352,8 +351,8 @@ class TestIterative:
                 f"1.000e-10") in report.message
 
     def test_failed_ordered_preconditioner_falls_back(self):
-        # the same singular matrix with an order: the incomplete LU of
-        # P A P^T fails too, and GMRES runs without a preconditioner
+        # the same singular matrix in reversed order: the incomplete LU
+        # of P A P^T fails too, and GMRES runs without a preconditioner
         system = SparseSystem(csr_matrix(np.ones((2, 2))),
                               np.array([1.0, 0.0]), np.array([1, 0]))
         _, report = solve(system, SolverConfig(method="iterative"))
@@ -392,15 +391,15 @@ class TestValidation:
     def test_non_square_matrix_is_rejected(self):
         matrix = csr_matrix(np.ones((3, 4)))
         with pytest.raises(ValueError, match="square"):
-            solve(SparseSystem(matrix, np.ones(3)))
+            solve(SparseSystem(matrix, np.ones(3), np.arange(3)))
 
     def test_mismatched_rhs_is_rejected(self):
         matrix = csr_matrix(np.eye(3))
         with pytest.raises(ValueError, match="rhs"):
-            solve(SparseSystem(matrix, np.ones(4)))
+            solve(SparseSystem(matrix, np.ones(4), np.arange(3)))
 
     def test_non_finite_entries_are_rejected(self):
         matrix = csr_matrix(np.eye(3))
         rhs = np.array([1.0, np.nan, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            solve(SparseSystem(matrix, rhs))
+            solve(SparseSystem(matrix, rhs, np.arange(3)))
