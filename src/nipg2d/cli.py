@@ -20,8 +20,6 @@ except k and eps, each may be set once, and any other key is an error::
     beta2 = 3.0
     solver = direct     or: iterative
     rel_tol = 1e-10
-    max_iters = 5000
-    restart = 50
     estimate_condition = false   append 1-norm condition estimates
                                  (direct solver only; costly; for the
                                  large-N/small-eps cells where the rate
@@ -224,8 +222,8 @@ def run_study(config):
         "dirichlet": config.dirichlet,
         "solver": config.solver.method,
         "rel_tol": _fmt_value(config.solver.rel_tol),
-        "max_iters": str(config.solver.max_iters),
-        "restart": str(config.solver.restart),
+        "max_iters": str(solver.GMRES_MAX_ITERS),
+        "restart": str(solver.GMRES_RESTART),
         "estimate_condition": str(config.solver.estimate_condition).lower(),
         "error_quad_order": f"k + {analysis.ERROR_QUAD_POINTS_OVER_K}",
         "interp_quad_order": f"k + {analysis.INTERP_QUAD_POINTS_OVER_K}",
@@ -390,8 +388,6 @@ CONFIG_KEYS = {
     "beta2": ("beta2", _float),
     "solver": ("solver.method", str),
     "rel_tol": ("solver.rel_tol", _float),
-    "max_iters": ("solver.max_iters", int),
-    "restart": ("solver.restart", int),
     "estimate_condition": ("solver.estimate_condition", _bool),
     "dirichlet": ("dirichlet", str),
     "out_csv": ("out_csv", str),

@@ -52,6 +52,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import (LinearOperator, gmres, onenormest, spilu,
                                  splu)
 
+#: GMRES restart length and budget, both in inner iterations; SciPy's
+#: ``maxiter`` counts restart cycles, so it gets their quotient
+GMRES_RESTART = 50
+GMRES_MAX_ITERS = 5000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -64,10 +69,6 @@ class SolverConfig:
     rel_tol : float
         Target relative residual |b - Ax| / |b|, positive and finite;
         GMRES stops on it, and both paths report ``converged`` by it.
-    max_iters : int
-        Inner-iteration budget for the iterative path.
-    restart : int
-        GMRES restart length.
     estimate_condition : bool
         Estimate the 1-norm condition number of the matrix (direct path
         only, so it is rejected with "iterative"; costs a few extra
@@ -76,8 +77,6 @@ class SolverConfig:
 
     method: str = "direct"
     rel_tol: float = 1e-10
-    max_iters: int = 5000
-    restart: int = 50
     estimate_condition: bool = False
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class SolverConfig:
         if not 0 < self.rel_tol < np.inf:    # NaN included
             raise ValueError(
                 f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_iters < 1 or self.restart < 1:
-            raise ValueError("iteration limits must be >= 1")
         if self.estimate_condition and self.method != "direct":
             raise ValueError(
                 "estimate_condition needs the direct solver; the iterative "
@@ -177,8 +174,7 @@ def solve(system, config=None):
     Both paths factor the matrix in the system's ``order`` with diagonal
     pivots preferred down to a threshold of 1e-4 (see the module docstring
     for the order, and for why the coercive NIPG matrix admits these
-    pivots), the iterative path incompletely (drop tolerance 1e-5, fill
-    factor 20).  The direct path refines with extended-precision
+    pivots), the iterative path incompletely (drop tolerance 1e-5).  The direct path refines with extended-precision
     residuals, and stops when the extrapolated next correction
     |dx|^2 / |dx_prev| drops below the unit roundoff times |x|, when a
     step fails to halve the correction, or after four steps; a
@@ -250,8 +246,7 @@ def solve(system, config=None):
     else:
         # M r = ILU(A)^-1 r
         try:
-            apply_inverse, _ = _factor(matrix, order, spilu,
-                                       drop_tol=1e-5, fill_factor=20)
+            apply_inverse, _ = _factor(matrix, order, spilu, drop_tol=1e-5)
             precond = LinearOperator(matrix.shape, matvec=apply_inverse)
         except RuntimeError as exc:  # singular pivot in the incomplete LU
             precond = None
@@ -263,7 +258,8 @@ def solve(system, config=None):
             iterations += 1
 
         x, info = gmres(matrix, rhs, rtol=config.rel_tol, atol=0.0,
-                        restart=config.restart, maxiter=config.max_iters,
+                        restart=GMRES_RESTART,
+                        maxiter=GMRES_MAX_ITERS // GMRES_RESTART,
                         M=precond, callback=count_iteration,
                         callback_type="pr_norm")
         if info > 0:

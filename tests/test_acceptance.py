@@ -20,6 +20,13 @@ Criteria 9-12 test the paper's theorem instead of its table (arXiv
 uniformly in eps, because the penalties differ by edge type; see Roos,
 Stynes and Tobiska, Robust Numerical Methods for Singularly Perturbed
 Differential Equations (2008), for such rates on Shishkin meshes.
+
+Criteria 13-14 repeat the check on a Bakhvalov-Shishkin mesh, whose
+graded fine bands remove the ln N from the interpolation error bounds
+(Linss, Layer-Adapted Meshes for Reaction-Convection-Diffusion Problems,
+LNM 1985, 2010).  The paper does not state the NIPG rate there, so these
+criteria extend it: they ask whether the ln N of the Shishkin rate is
+the mesh's and not the scheme's.
 """
 
 import dataclasses
@@ -29,6 +36,7 @@ import numpy as np
 
 from nipg2d import classify_edges, solve
 from nipg2d.analysis import (
+    INTERP_QUAD_POINTS_OVER_K,
     energy_norm,
     interpolate_composite,
     interpolate_vee_global,
@@ -85,6 +93,10 @@ THEOREM_CHAINS = (
     (2, 1e-6, (8, 16, 32)),
     (3, 1e-5, (8, 16)),
 )
+
+
+# the eps list of the eps-robustness checks at higher degree
+ROBUST_EPS = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 
 
 def supercloseness_constant(k, n, e_in):
@@ -244,7 +256,7 @@ class TestAcceptance:
         u = case2.problem.exact
         comp = interpolate_composite(
             u, interpolate_vee_global(u, case2.mesh, case2.dofmap))
-        tab = reference_tables(k, k + 2)
+        tab = reference_tables(k, k + INTERP_QUAD_POINTS_OVER_K)
         (xi, eta), w2 = tab.points.T, tab.w2
         moment = 0.0
         coarse = coarse_elements(case2.mesh)
@@ -301,16 +313,15 @@ class TestAcceptance:
                 "; ".join(details) + " (non-increasing in N required)")
 
     def test_10_error_is_robust_in_eps_at_higher_degree(self):
-        eps_values = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
         ok, details = True, []
         for k, n in ((2, 16), (3, 8)):
-            errors = [solve_case(k, n, e).record.e_in for e in eps_values]
+            errors = [solve_case(k, n, e).record.e_in for e in ROBUST_EPS]
             spread = (max(errors) - min(errors)) / min(errors)
             ok = ok and spread < 0.01
             details.append(f"k={k} N={n}: e_IN in [{min(errors):.6e}, "
                            f"{max(errors):.6e}], spread {spread:.2%}")
         verdict(10, "eps-robustness-hp", ok,
-                f"eps in {eps_values}: " + "; ".join(details)
+                f"eps in {ROBUST_EPS}: " + "; ".join(details)
                 + " (< 1% required)")
 
     def test_11_uniform_penalty_breaks_the_bound(self):
@@ -340,3 +351,28 @@ class TestAcceptance:
                 f"k=2 eps={eps:g} N={ns}, M2 rho = N: C_N "
                 f"{format_constants(constants)}, growth {growth:.2f}x "
                 f"(>= 1.2x required)")
+
+    def test_13_bakhvalov_shishkin_rate_has_no_log(self):
+        # on the graded mesh e_IN N^(k+1/2), without the ln N, stays
+        # bounded; on the two-band mesh it grows 2.5x at k=2 over N=8..32
+        ok, details = True, []
+        for k, eps, ns in THEOREM_CHAINS:
+            errors, _ = error_chain(k, eps, ns, mesh="bakhvalov-shishkin")
+            scaled = [e * n ** (k + 0.5) for n, e in zip(ns, errors)]
+            growth = max(scaled) / scaled[0]
+            ok = ok and growth < 1.2
+            details.append(f"k={k} eps={eps:g} N={ns}: e_IN N^(k+1/2) "
+                           f"{format_constants(scaled)}, max/first "
+                           f"{growth:.2f}x")
+        verdict(13, "bakhvalov-shishkin-rate", ok,
+                "; ".join(details) + " (< 1.2x required)")
+
+    def test_14_bakhvalov_shishkin_error_is_robust_in_eps(self):
+        k, n = 2, 16
+        errors = [solve_case(k, n, e, mesh="bakhvalov-shishkin").record.e_in
+                  for e in ROBUST_EPS]
+        spread = (max(errors) - min(errors)) / min(errors)
+        verdict(14, "bakhvalov-shishkin-eps-robustness", spread < 0.01,
+                f"k={k} N={n} eps in {ROBUST_EPS}: e_IN in "
+                f"[{min(errors):.6e}, {max(errors):.6e}], spread "
+                f"{spread:.2%} (< 1% required)")

@@ -7,6 +7,7 @@ import pytest
 
 from nipg2d import convergence_rates
 from nipg2d.analysis import (
+    INTERP_QUAD_POINTS_OVER_K,
     broken_l2_error,
     energy_norm,
     interpolate_composite,
@@ -112,7 +113,7 @@ class TestCompositeInterpolant:
         u = case.problem.exact
         comp = interpolate_composite(
             u, interpolate_vee_global(u, case.mesh, case.dofmap))
-        tab = reference_tables(k, k + 2)
+        tab = reference_tables(k, k + INTERP_QUAD_POINTS_OVER_K)
         (xi, eta), w2 = tab.points.T, tab.w2
         coarse = coarse_elements(case.mesh)
         for i, j in [(0, 0), (1, 2), (3, 3), (2, 0)]:

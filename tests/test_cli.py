@@ -25,6 +25,8 @@ from nipg2d.cli import (
 from nipg2d.mesh import PENALTY_POWER, EdgeType
 from nipg2d.solver import SolverConfig
 
+from helpers import spend_budget
+
 
 def no_args(**overrides):
     base = dict(k=None, eps=None, n=None, solver=None, out_csv=None,
@@ -85,8 +87,7 @@ class TestBuildConfig:
         cfg = build_config(
             {"k": "1,2", "eps": "1e-2, 1e-3", "n": "8,16", "sigma": "3.5",
              "beta1": "1.5", "beta2": "2.5", "solver": "iterative",
-             "rel_tol": "1e-8", "max_iters": "7", "restart": "3",
-             "dirichlet": "strong", "out_csv": "a.csv", "out_md": "a.md"},
+             "rel_tol": "1e-8", "dirichlet": "strong", "out_csv": "a.csv", "out_md": "a.md"},
             no_args())
         assert cfg.k_list == (1, 2)
         assert cfg.eps_list == (1e-2, 1e-3)
@@ -95,7 +96,6 @@ class TestBuildConfig:
         assert (cfg.beta1, cfg.beta2) == (1.5, 2.5)
         assert cfg.solver.method == "iterative"
         assert cfg.solver.rel_tol == 1e-8
-        assert (cfg.solver.max_iters, cfg.solver.restart) == (7, 3)
         assert cfg.dirichlet == "strong"
         assert (cfg.out_csv, cfg.out_md) == ("a.csv", "a.md")
         # condition estimates come from the direct solver only
@@ -351,6 +351,12 @@ class TestMain:
         assert code == 1
         assert "polynomial degree must be >= 1" in capsys.readouterr().err
 
+    def test_degree_without_a_default_chain_needs_n(self, capsys):
+        code = main(["study", "--k", "4", "--eps", "1e-3"])
+        assert code == 1
+        assert ("no default mesh sequence for k=4"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flags,code,message", [
         (["--bogus"], 1, "error: unrecognized arguments: --bogus"),
         (["--solver", "foo"], 1, "error: unknown solver method: 'foo'"),
@@ -376,6 +382,9 @@ class TestMain:
          ":5: key 'solver' repeated (first set on line 4)"),
         ("k = 1,,2", "error: k: empty item in list '1,,2'"),
         ("k = 1\nquad_order = 4", "unknown config key(s) quad_order;"),
+        ("k = 1\nmax_iters = 7", "unknown config key(s) max_iters;"),
+        ("k = 1\nrestart = 7", "unknown config key(s) restart;"),
+        ("k =", "config must list at least one degree k"),
         ("k = 1\nsigma = nan", "error: sigma: expected a finite number"),
         ("k = 1\nbeta1 = nan", "error: beta1: expected a finite number"),
         ("k = 1\nbeta2 = inf", "error: beta2: expected a finite number"),
@@ -389,7 +398,8 @@ class TestMain:
         ("k = 1\nbeta2 = 3.5", "error: beta2=3.5 exceeds the built-in "
          "problem's convection lower bound 3.0"),
     ], ids=["problem", "misspelled", "empty-value", "repeated-key",
-            "empty-item", "quad-order", "sigma-nan", "beta1-nan",
+            "empty-item", "quad-order", "max-iters", "restart", "no-degree",
+            "sigma-nan", "beta1-nan",
             "beta2-inf", "rel-tol-nan", "beta1-negative", "beta2-zero",
             "beta1-above-bound", "beta2-above-bound"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
@@ -423,10 +433,11 @@ class TestMain:
         assert err.startswith("error:") and str(path) in err
         assert "Traceback" not in err
 
-    def test_degraded_solve_exits_two(self, tmp_path, capsys):
+    def test_degraded_solve_exits_two(self, tmp_path, capsys, monkeypatch):
+        spend_budget(monkeypatch, restart=2, max_iters=2)
         cfg = tmp_path / "study.cfg"
         cfg.write_text("k = 1\neps = 1e-3\nn = 16\nsolver = iterative\n"
-                       "rel_tol = 1e-14\nmax_iters = 1\nrestart = 2\n")
+                       "rel_tol = 1e-14\n")
         code = main(["study", "--config", str(cfg),
                      "--out-csv", str(tmp_path / "t.csv")])
         assert code == 2
@@ -434,14 +445,16 @@ class TestMain:
         assert "missed the tolerance" in err
         assert "GMRES stopped after" in err
         echo, _ = parse_csv((tmp_path / "t.csv").read_text())
-        assert (echo["max_iters"], echo["restart"]) == ("1", "2")
+        assert (echo["max_iters"], echo["restart"]) == ("2", "2")
 
     @pytest.mark.parametrize("lines", [
         "rel_tol = 1e-20",
-        "solver = iterative\nrel_tol = 1e-14\nmax_iters = 1\nrestart = 2",
+        "solver = iterative\nrel_tol = 1e-14",
     ], ids=["direct", "iterative"])
     def test_degraded_warning_states_the_residual_once(self, tmp_path,
-                                                       capsys, lines):
+                                                       capsys, monkeypatch,
+                                                       lines):
+        spend_budget(monkeypatch, restart=2, max_iters=2)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(f"k = 1\neps = 1e-3\nn = 8\n{lines}\n")
         out_csv = tmp_path / "t.csv"

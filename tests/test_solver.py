@@ -15,7 +15,7 @@ from nipg2d import (DGFunction, DofMap, SolverConfig, SparseSystem, assemble,
                     supercloseness_error)
 from nipg2d.assembly import elimination_order
 
-from helpers import make_case, make_mesh
+from helpers import make_case, make_mesh, spend_budget
 
 
 def diagonal_system(n=50):
@@ -299,10 +299,10 @@ class TestIterative:
         np.testing.assert_array_equal(x1, x2)
         assert (r1.iterations, r1.residual) == (r2.iterations, r2.residual)
 
-    def test_exhausted_budget_reports_not_converged(self):
+    def test_exhausted_budget_reports_not_converged(self, monkeypatch):
+        spend_budget(monkeypatch, restart=2, max_iters=2)
         case = make_case(k=1, n=16, eps=1e-5)
-        cfg = SolverConfig(method="iterative", rel_tol=1e-14, max_iters=1,
-                           restart=2)
+        cfg = SolverConfig(method="iterative", rel_tol=1e-14)
         x, report = solve(case.system, cfg)
         assert not report.converged
         assert np.all(np.isfinite(x))
@@ -311,12 +311,22 @@ class TestIterative:
         assert (f"relative residual {report.residual:.3e} misses rel_tol "
                 f"1.000e-14") in report.message
 
-    def test_missed_tolerance_states_the_backward_error(self):
+    def test_budget_counts_inner_iterations(self, monkeypatch):
+        # three restart cycles of two: SciPy's maxiter counts cycles, so
+        # passing it the budget itself would allow 12 iterations
+        spend_budget(monkeypatch, restart=2, max_iters=6)
+        case = make_case(k=1, n=16, eps=1e-5)
+        _, report = solve(case.system,
+                          SolverConfig(method="iterative", rel_tol=1e-14))
+        assert not report.converged
+        assert "GMRES stopped after 6 iterations" in report.message
+
+    def test_missed_tolerance_states_the_backward_error(self, monkeypatch):
         # the verdict is shared by both paths, so a GMRES miss ends with
         # the normwise backward error as a direct one does
+        spend_budget(monkeypatch, restart=2, max_iters=2)
         case = make_case(k=1, n=8, eps=1e-4)
-        cfg = SolverConfig(method="iterative", rel_tol=1e-14, max_iters=1,
-                           restart=2)
+        cfg = SolverConfig(method="iterative", rel_tol=1e-14)
         x, report = solve(case.system, cfg)
         assert not report.converged
         matrix, rhs = case.system.matrix, case.system.rhs
@@ -339,22 +349,14 @@ class TestIterative:
         assert report.residual <= cfg.rel_tol
         assert report.message == ""
 
-    def test_failed_preconditioner_names_the_residual(self):
-        # a singular matrix: the incomplete LU fails and GMRES cannot
-        # reach the inconsistent right-hand side
+    @pytest.mark.parametrize("order", [np.arange(2), np.array([1, 0])],
+                             ids=["natural", "reversed"])
+    def test_failed_preconditioner_falls_back(self, order):
+        # a singular matrix: the incomplete LU of P A P^T fails in either
+        # order, GMRES runs without a preconditioner and cannot reach the
+        # inconsistent right-hand side
         system = SparseSystem(csr_matrix(np.ones((2, 2))),
-                              np.array([1.0, 0.0]), np.arange(2))
-        _, report = solve(system, SolverConfig(method="iterative"))
-        assert not report.converged
-        assert "ILU preconditioner failed" in report.message
-        assert (f"relative residual {report.residual:.3e} misses rel_tol "
-                f"1.000e-10") in report.message
-
-    def test_failed_ordered_preconditioner_falls_back(self):
-        # the same singular matrix in reversed order: the incomplete LU
-        # of P A P^T fails too, and GMRES runs without a preconditioner
-        system = SparseSystem(csr_matrix(np.ones((2, 2))),
-                              np.array([1.0, 0.0]), np.array([1, 0]))
+                              np.array([1.0, 0.0]), order)
         _, report = solve(system, SolverConfig(method="iterative"))
         assert not report.converged
         # the verdict leads the message, the ILU note follows it
@@ -378,8 +380,6 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
         {"rel_tol": -1e-10},
-        {"max_iters": 0},
-        {"restart": 0},
         {"method": "iterative", "estimate_condition": True},
         {"rel_tol": float("nan")},
         {"rel_tol": float("inf")},
