@@ -174,12 +174,13 @@ def solve(system, config=None):
     Both paths factor the matrix in the system's ``order`` with diagonal
     pivots preferred down to a threshold of 1e-4 (see the module docstring
     for the order, and for why the coercive NIPG matrix admits these
-    pivots), the iterative path incompletely (drop tolerance 1e-5).  The direct path refines with extended-precision
-    residuals, and stops when the extrapolated next correction
-    |dx|^2 / |dx_prev| drops below the unit roundoff times |x|, when a
-    step fails to halve the correction, or after four steps; a
-    well-conditioned system takes one.  The reported residual is the
-    double-precision relative residual of the final x.
+    pivots), the iterative path incompletely (drop tolerance 1e-5).  The
+    direct path refines with extended-precision residuals, and stops when
+    the extrapolated next correction |dx|^2 / |dx_prev| drops below the
+    unit roundoff times |x|, when a step fails to halve the correction,
+    or after four steps; a well-conditioned system takes one.  The
+    reported residual is the double-precision relative residual of the
+    final x.
 
     Parameters
     ----------

@@ -87,7 +87,8 @@ class TestBuildConfig:
         cfg = build_config(
             {"k": "1,2", "eps": "1e-2, 1e-3", "n": "8,16", "sigma": "3.5",
              "beta1": "1.5", "beta2": "2.5", "solver": "iterative",
-             "rel_tol": "1e-8", "dirichlet": "strong", "out_csv": "a.csv", "out_md": "a.md"},
+             "rel_tol": "1e-8", "dirichlet": "strong", "out_csv": "a.csv",
+             "out_md": "a.md"},
             no_args())
         assert cfg.k_list == (1, 2)
         assert cfg.eps_list == (1e-2, 1e-3)
@@ -399,9 +400,9 @@ class TestMain:
          "problem's convection lower bound 3.0"),
     ], ids=["problem", "misspelled", "empty-value", "repeated-key",
             "empty-item", "quad-order", "max-iters", "restart", "no-degree",
-            "sigma-nan", "beta1-nan",
-            "beta2-inf", "rel-tol-nan", "beta1-negative", "beta2-zero",
-            "beta1-above-bound", "beta2-above-bound"])
+            "sigma-nan", "beta1-nan", "beta2-inf", "rel-tol-nan",
+            "beta1-negative", "beta2-zero", "beta1-above-bound",
+            "beta2-above-bound"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, lines,
                                       message):
         cfg = tmp_path / "study.cfg"
