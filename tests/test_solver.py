@@ -380,6 +380,8 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
         {"rel_tol": -1e-10},
+        {"rel_tol": float("-inf")},
+        {"method": "iterative", "rel_tol": 0.0},
         {"method": "iterative", "estimate_condition": True},
         {"rel_tol": float("nan")},
         {"rel_tol": float("inf")},
