@@ -299,13 +299,9 @@ def format_markdown(report):
         for n in ns:
             row = [str(n)]
             for eps in eps_values:
-                r = cells.get((eps, n))
-                if r is None:
-                    row.extend(["--", "--"])
-                else:
-                    row.append(format(r.e_in, ".3e"))
-                    row.append("--" if r.p_in is None
-                               else format(r.p_in, ".2f"))
+                r = cells[eps, n]
+                row.append(format(r.e_in, ".3e"))
+                row.append("--" if r.p_in is None else format(r.p_in, ".2f"))
             lines.append("| " + " | ".join(row) + " |")
     with_cond = [r for r in report.rows if r.condition is not None]
     if with_cond:

@@ -35,14 +35,13 @@ give solutions 1e-17 to 1e-16 apart instead of 5e-15 to 2e-14.  Where
 ``longdouble`` is plain double the residual is a double one, and the
 double floor applies.
 
-Each path ends with its solution x and its own notes (a spent GMRES
-budget, a failed ILU); one verdict then serves both.  It computes the
-double-precision residual b - A x once, reports |b - Ax| / |b|, and
-compares it with the tolerance.  A run that misses the tolerance is
-reported as not converged, with the normwise backward error of x in its
-message, but never raises: callers decide how to treat degraded solves.
-A direct solve of an exactly singular matrix does raise (see
-:func:`solve`).
+Each path ends with its solution x and its own notes (a GMRES stop);
+one verdict then serves both.  It computes the double-precision residual
+b - A x once, reports |b - Ax| / |b|, and compares it with the tolerance.
+A run that misses the tolerance is reported as not converged, with the
+normwise backward error of x in its message, but never raises: callers
+decide how to treat degraded solves.  A factorization that meets an
+exactly singular pivot does raise, on either path (see :func:`solve`).
 """
 
 from dataclasses import dataclass
@@ -98,22 +97,21 @@ class SolveReport:
     ``iterations`` is 0 for the direct path; ``residual`` is the relative
     residual |b - Ax| / |b|, the quantity GMRES stops on; ``converged``
     states whether it met the configured tolerance.  If not, ``message``
-    names the residual and ``rel_tol``, then the path's notes (a spent
-    GMRES budget, a failed ILU), and last the normwise backward error
-    |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), on either path; a failed
-    ILU is noted even when the solve converges.  ``condition_estimate`` is
-    the estimated 1-norm condition number of A, when requested.
-    ``lu_fill`` is the number of stored entries of the sparse LU factors
-    (``L.nnz + U.nnz``) on the direct path and ``None`` on the iterative
-    one.
+    names the residual and ``rel_tol``, then the path's notes (a GMRES
+    stop), and last the normwise backward error
+    |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), on either path.
+    ``condition_estimate`` is the estimated 1-norm condition number of A,
+    when requested.  ``lu_fill`` is the number of stored entries of the
+    factors (``L.nnz + U.nnz``): of the LU on the direct path, of the
+    incomplete LU on the iterative one.
     """
 
     iterations: int
     residual: float
     converged: bool
+    lu_fill: int
     condition_estimate: float | None = None
     message: str = ""
-    lu_fill: int | None = None
 
 
 _RESIDUAL_ROWS = 4096                 # CSR rows per chunk of _residual
@@ -197,9 +195,9 @@ def solve(system, config=None):
         If the matrix is not square, the right-hand side does not match
         it, an entry is not finite, or ``order`` is not a permutation.
     RuntimeError
-        SuperLU's "Factor is exactly singular", on the direct path, when
-        the LU meets a zero pivot column, as for an exactly singular
-        matrix.  An assembled NIPG matrix is coercive, so only a
+        SuperLU's "Factor is exactly singular", when the LU or the
+        incomplete LU meets a zero pivot column, as for an exactly
+        singular matrix.  An assembled NIPG matrix is coercive, so only a
         hand-built system reaches this.
     """
     config = config or SolverConfig()
@@ -218,12 +216,16 @@ def solve(system, config=None):
         raise ValueError("order must be a permutation of the unknowns")
 
     condition = None
-    lu_fill = None
     notes = []                      # why the solve may have degraded
     iterations = 0
 
-    if config.method == "direct":
-        lu_solve, lu_fill = _factor(matrix, order, splu)
+    # the LU that the direct path solves with, or the incomplete LU that
+    # preconditions GMRES
+    direct = config.method == "direct"
+    drop = {} if direct else {"drop_tol": 1e-5}
+    lu_solve, lu_fill = _factor(matrix, order, splu if direct else spilu,
+                                **drop)
+    if direct:
         x = lu_solve(rhs)
         # refinement with extended-precision residuals: each correction
         # shrinks by about the LU's contraction factor, so the next one is
@@ -245,15 +247,6 @@ def solve(system, config=None):
             condition = float(abs(matrix).sum(axis=0).max()
                               * onenormest(inv, t=1))
     else:
-        # M r = ILU(A)^-1 r
-        try:
-            apply_inverse, _ = _factor(matrix, order, spilu, drop_tol=1e-5)
-            precond = LinearOperator(matrix.shape, matvec=apply_inverse)
-        except RuntimeError as exc:  # singular pivot in the incomplete LU
-            precond = None
-            notes.append(f"ILU preconditioner failed ({exc}); "
-                         f"GMRES runs unpreconditioned")
-
         def count_iteration(_):
             nonlocal iterations
             iterations += 1
@@ -261,10 +254,12 @@ def solve(system, config=None):
         x, info = gmres(matrix, rhs, rtol=config.rel_tol, atol=0.0,
                         restart=GMRES_RESTART,
                         maxiter=GMRES_MAX_ITERS // GMRES_RESTART,
-                        M=precond, callback=count_iteration,
-                        callback_type="pr_norm")
+                        # M r = ILU(A)^-1 r
+                        M=LinearOperator(matrix.shape, matvec=lu_solve),
+                        callback=count_iteration, callback_type="pr_norm")
         if info > 0:
-            notes.append(f"GMRES stopped after {iterations} iterations")
+            notes.append(f"GMRES stopped after {iterations} of its "
+                         f"{GMRES_MAX_ITERS} iterations")
 
     # the verdict, the same on both paths
     r = rhs - matrix @ x
@@ -283,8 +278,8 @@ def solve(system, config=None):
         iterations=iterations,
         residual=residual,
         converged=converged,
+        lu_fill=lu_fill,
         condition_estimate=condition,
         message="; ".join(notes),
-        lu_fill=lu_fill,
     )
     return x, report

@@ -120,12 +120,14 @@ class TestDirect:
         with pytest.raises(RuntimeError, match="exactly singular"):
             solve(system)
 
-    def test_lu_fill_is_reported_for_direct_solves_only(self):
+    def test_ilu_fill_is_below_the_lu_fill(self):
+        # both paths report their factor's entries; the incomplete LU
+        # drops some (6,609 against 10,132 here)
         case = make_case(k=1, n=8, eps=1e-4)
         _, direct = solve(case.system)
-        assert direct.lu_fill > 0
         _, iterative = solve(case.system, SolverConfig(method="iterative"))
-        assert iterative.lu_fill is None
+        assert isinstance(iterative.lu_fill, int)
+        assert 0 < iterative.lu_fill < direct.lu_fill
 
 
 def natural_order(system):
@@ -307,7 +309,7 @@ class TestIterative:
         assert not report.converged
         assert np.all(np.isfinite(x))
         assert report.residual > 1e-14
-        assert "GMRES stopped after 2 iterations" in report.message
+        assert "GMRES stopped after 2 of its 2 iterations" in report.message
         assert (f"relative residual {report.residual:.3e} misses rel_tol "
                 f"1.000e-14") in report.message
 
@@ -319,7 +321,7 @@ class TestIterative:
         _, report = solve(case.system,
                           SolverConfig(method="iterative", rel_tol=1e-14))
         assert not report.converged
-        assert "GMRES stopped after 6 iterations" in report.message
+        assert "GMRES stopped after 6 of its 6 iterations" in report.message
 
     def test_missed_tolerance_states_the_backward_error(self, monkeypatch):
         # the verdict is shared by both paths, so a GMRES miss ends with
@@ -351,19 +353,13 @@ class TestIterative:
 
     @pytest.mark.parametrize("order", [np.arange(2), np.array([1, 0])],
                              ids=["natural", "reversed"])
-    def test_failed_preconditioner_falls_back(self, order):
-        # a singular matrix: the incomplete LU of P A P^T fails in either
-        # order, GMRES runs without a preconditioner and cannot reach the
-        # inconsistent right-hand side
+    def test_failed_preconditioner_raises(self, order):
+        # a singular matrix: the incomplete LU of P A P^T meets a zero
+        # pivot in either order and raises, as the direct path's LU does
         system = SparseSystem(csr_matrix(np.ones((2, 2))),
                               np.array([1.0, 0.0]), order)
-        _, report = solve(system, SolverConfig(method="iterative"))
-        assert not report.converged
-        # the verdict leads the message, the ILU note follows it
-        assert report.message.startswith(
-            f"the relative residual {report.residual:.3e} misses rel_tol "
-            f"1.000e-10; ILU preconditioner failed (")
-        assert "GMRES runs unpreconditioned" in report.message
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            solve(system, SolverConfig(method="iterative"))
 
     def test_converged_solve_has_no_message(self):
         case = make_case(k=1, n=16, eps=1e-4)
