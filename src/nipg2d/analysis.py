@@ -43,7 +43,8 @@ def interpolate_vee_global(u, mesh, dofmap):
     Parameters
     ----------
     u : callable
-        ``u(x, y)`` accepting ndarray arguments; constants broadcast.
+        ``u(x, y)`` accepting ndarray arguments that broadcast against
+        each other, as elementwise NumPy code does; constants broadcast.
     mesh : ShishkinMesh
     dofmap : DofMap
 
@@ -71,12 +72,10 @@ def interpolate_composite(u, vee):
     points, matrix = l2_projector(dofmap.k,
                                   dofmap.k + INTERP_QUAD_POINTS_OVER_K)
     n, m = mesh.config.n, mesh.config.coarse_cells
-    coarse = np.s_[:m, :m]                 # the coarse-coarse region
     _, _, x, y = _cells(mesh, *points.T)
-    vals = _sample(u, x.reshape(n, n, -1)[coarse],
-                   y.reshape(n, n, -1)[coarse])
+    vals = _sample(u, x[:m], y[:, :m])     # the coarse-coarse region
     coeffs = vee.coefficients.reshape(n, n, -1).copy()
-    coeffs[coarse] = vals @ matrix.T
+    coeffs[:m, :m] = (vals @ matrix.T).reshape(m, m, -1)
     return DGFunction(mesh, dofmap, coeffs.ravel())
 
 

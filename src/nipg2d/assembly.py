@@ -34,7 +34,8 @@ import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix, diags, eye, kron
 from scipy.sparse.linalg import spilu
 
-from .felib import BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables
+from .felib import (BOTTOM, LEFT, RIGHT, TOP, face_products, reference_tables,
+                    volume_products)
 from .mesh import NO_ELEMENT
 
 
@@ -79,9 +80,10 @@ class ProblemData:
     the boundary of the unit square.
 
     ``eps`` is positive and finite; the other entries are callables of
-    (x, y) accepting ndarray arguments; ``div_b`` is the divergence of
-    (b1, b2), and ``exact`` is the solution u where it is known.  The
-    scheme assumes b1 >= beta1 > 0, b2 >= beta2 > 0 and
+    (x, y) whose ndarray arguments broadcast against each other, as in
+    elementwise NumPy code (constants broadcast too); ``div_b`` is the
+    divergence of (b1, b2), and ``exact`` is the solution u where it is
+    known.  The scheme assumes b1 >= beta1 > 0, b2 >= beta2 > 0 and
     c - div_b / 2 >= 0; :func:`assemble` and the energy norm spot-check
     these at their quadrature points.
     """
@@ -133,26 +135,27 @@ class DGFunction:
 
 
 def _sample(fn, x, y):
-    """Evaluate a callable of (x, y), broadcasting constants."""
-    out = np.asarray(fn(x, y), dtype=float)
-    if out.shape != np.shape(x):
-        out = np.broadcast_to(out, np.shape(x)).copy()
-    return out
+    """Evaluate a callable of (x, y) on arguments that broadcast against
+    each other, as elementwise NumPy code and constants allow, flattened to
+    (points, npts): (N^2, npts), E = i*N + j, on :func:`_cells`'s grid."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    out = np.broadcast_to(np.asarray(fn(x, y), dtype=float), shape)
+    return out.reshape(-1, shape[-1])
 
 
 def _cells(mesh, xi, eta):
-    """Element geometry in flat order E = i*N + j.
+    """Element geometry on the mesh's tensor grid.
 
-    Returns the widths ``hx``, ``hy`` (ne,) and the images ``x``, ``y``
-    (ne, npts) of the reference points (xi, eta) in every element.
+    Returns the widths ``hx``, ``hy`` (ne,) in flat order E = i*N + j, the
+    images ``x`` (N, 1, npts) of the reference points xi in every column i
+    and ``y`` (1, N, npts) of eta in every row j, which broadcast to the
+    points (xi, eta) of every element.
     """
     n = mesh.config.n
-    i = np.repeat(np.arange(n), n)
-    j = np.tile(np.arange(n), n)
-    hx, hy = mesh.h_x[i], mesh.h_y[j]
-    x = mesh.x_pts[i][:, None] + (np.asarray(xi) + 1.0) * 0.5 * hx[:, None]
-    y = mesh.y_pts[j][:, None] + (np.asarray(eta) + 1.0) * 0.5 * hy[:, None]
-    return hx, hy, x, y
+    xi, eta = np.asarray(xi), np.asarray(eta)
+    x = mesh.x_pts[:n, None] + (xi + 1.0) * 0.5 * mesh.h_x[:, None]
+    y = mesh.y_pts[:n, None] + (eta + 1.0) * 0.5 * mesh.h_y[:, None]
+    return np.repeat(mesh.h_x, n), np.tile(mesh.h_y, n), x[:, None], y[None]
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,13 @@ def _faces(mesh, edges, problem, tab):
         if side in (LEFT, RIGHT):
             h = mesh.h_y[cell]
             y = mesh.y_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
-            x = np.broadcast_to(mesh.x_pts[line][:, None], y.shape)
+            x = mesh.x_pts[line][:, None]
             b = _sample(problem.b1, x, y)
             width, cell_of = mesh.h_x, np.floor_divide  # column e // N
         else:
             h = mesh.h_x[cell]
             x = mesh.x_pts[cell][:, None] + (tab.t + 1.0) * 0.5 * h[:, None]
-            y = np.broadcast_to(mesh.y_pts[line][:, None], x.shape)
+            y = mesh.y_pts[line][:, None]
             b = _sample(problem.b2, x, y)
             width, cell_of = mesh.h_y, np.remainder  # row e % N
         nu = 1.0 if side in (RIGHT, TOP) else -1.0
@@ -303,17 +306,14 @@ def assemble(mesh, edges, dofmap, problem, dirichlet="weak"):
     vol[...] = problem.eps * ((hy / hx)[:, None, None] * kxx
                               + (hx / hy)[:, None, None] * kyy)
 
-    vol += np.einsum("eq,mq,nq->emn",
-                     tab.w2 * b1_q * (0.5 * hy)[:, None], tab.vals, tab.gx)
-    vol += np.einsum("eq,mq,nq->emn",
-                     tab.w2 * b2_q * (0.5 * hx)[:, None], tab.vals, tab.gy)
-    vol += np.einsum("eq,mq,nq->emn",
-                     tab.w2 * c_q * (0.25 * hx * hy)[:, None],
-                     tab.vals, tab.vals)
+    area = (0.25 * hx * hy)[:, None]
+    weights = np.hstack([tab.w2 * b1_q * (0.5 * hy)[:, None],
+                         tab.w2 * b2_q * (0.5 * hx)[:, None],
+                         tab.w2 * c_q * area])
+    vol += (weights @ volume_products(k, nq)).reshape(-1, ndl, ndl)
 
     f_q = _sample(problem.f, x_q, y_q)
-    rhs = np.einsum("eq,mq->em",
-                    tab.w2 * f_q * (0.25 * hx * hy)[:, None], tab.vals).ravel()
+    rhs = ((tab.w2 * f_q * area) @ tab.vals.T).ravel()
 
     # ---- edge terms -------------------------------------------------------
     for face in _faces(mesh, edges, problem, tab):

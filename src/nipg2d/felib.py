@@ -94,8 +94,7 @@ def lagrange_1d(k, x):
     Returns
     -------
     (values, derivatives) : ndarrays of shape (k+1, len(x))
-        Point-major (F-ordered): the assembly contractions over quadrature
-        points run faster on this layout.
+        Point-major (F-ordered).
     """
     nodes, denom, dcoeff = _lagrange_data(k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -128,8 +127,9 @@ class ReferenceTables:
     reference derivative transverse to the side (d/dxi on left/right,
     d/deta on bottom/top).  One cached instance per (k, nq) serves assembly,
     the norms and both local operators, so every array is read-only.  The
-    tables are point-major, as :func:`lagrange_1d` returns them: the volume
-    ``np.einsum`` calls of assembly depend on it (~45% slower on C order).
+    tables are point-major, as :func:`lagrange_1d` returns them; the volume
+    terms of assembly go through :func:`volume_products`, and no kernel
+    is measurably faster on either layout.
     """
 
     def __init__(self, k, nq):
@@ -162,6 +162,14 @@ def reference_tables(k, nq):
     return ReferenceTables(k, nq)
 
 
+def _products(rows, cols):
+    """Read-only rows[t, m, q] * cols[t, n, q] at [t*npts + q, m*ndof + n]."""
+    out = np.einsum("tmq,tnq->tqmn", rows, cols, order="C")
+    out = out.reshape(-1, rows.shape[1] * cols.shape[1])
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=None)
 def face_products(k, nq, row_side, col_side):
     """Cached, read-only (3 nq, (k+1)^4) stack of tr_r (x) dn_c, dn_r (x) tr_c
@@ -169,11 +177,20 @@ def face_products(k, nq, row_side, col_side):
     ``col_side``, one row per side Gauss point: (faces, 3 nq) weights times
     it give all three face terms of the flattened (m, n) blocks at once."""
     tab = reference_tables(k, nq)
-    rows = np.stack([tab.tr[row_side], tab.dn[row_side], tab.tr[row_side]])
-    cols = np.stack([tab.dn[col_side], tab.tr[col_side], tab.tr[col_side]])
-    out = np.einsum("tmq,tnq->tqmn", rows, cols, order="C").reshape(3 * nq, -1)
-    out.flags.writeable = False
-    return out
+    return _products(
+        np.stack([tab.tr[row_side], tab.dn[row_side], tab.tr[row_side]]),
+        np.stack([tab.dn[col_side], tab.tr[col_side], tab.tr[col_side]]))
+
+
+@lru_cache(maxsize=None)
+def volume_products(k, nq):
+    """Cached, read-only (3 nq^2, (k+1)^4) stack of vals (x) gx,
+    vals (x) gy and vals (x) vals, one row per 2D Gauss point: (elements,
+    3 nq^2) weights times it give the convection and reaction volume terms
+    of the flattened (m, n) blocks at once."""
+    tab = reference_tables(k, nq)
+    return _products(np.stack([tab.vals] * 3),
+                     np.stack([tab.gx, tab.gy, tab.vals]))
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ for example a ``git archive`` of the parent unpacked under ``/tmp/parent``:
 
     PYTHONPATH=/tmp/parent/src python3 tests/fingerprint.py > parent.json
     PYTHONPATH=src python3 tests/fingerprint.py > change.json
-    diff parent.json change.json
+    python3 tests/fingerprint.py --compare parent.json change.json
 
 It prints one JSON object:
 
@@ -26,6 +26,11 @@ It prints one JSON object:
 The hashes depend on the host's floating point libraries, so compare
 outputs made on one machine and keep no reference copy.  The run time and
 the imported ``nipg2d`` go to standard error.
+
+``--compare A B`` reads two such outputs instead of running anything.  It
+prints every system or output hash that differs, then, per workload, the
+largest relative shift of e_IN, e_Pi and e_L2 from A to B and the cell
+where it occurs; it prints "identical" if A and B are the same.
 """
 
 import dataclasses
@@ -34,15 +39,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-# nipg2d first, from PYTHONPATH: importing studybench puts this checkout's
-# src on sys.path, which must not decide the version measured
-import nipg2d
-from nipg2d import (assemble, boundary_layer_problem, build_mesh,
-                    classify_edges, cli)
-
-sys.path.append(str(Path(__file__).resolve().parents[1]))
-from studybench import workloads  # noqa: E402  (after nipg2d, see above)
 
 DEGREES = (1, 2, 3)
 CELLS = (8, 16, 32)
@@ -61,19 +57,20 @@ def text_hash(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def system_hashes():
+def system_hashes(nipg2d):
     """The systems of the study's own chains, built as run_study builds
     them."""
+    cli = nipg2d.cli
     hashes = {}
     for dirichlet in DIRICHLET:
         config = cli.StudyConfig(k_list=DEGREES, eps_list=EPS, n_list=CELLS,
                                  dirichlet=dirichlet)
         for dofmap, meshes in config.chains():
-            problem = boundary_layer_problem(meshes[0].eps)
+            problem = nipg2d.boundary_layer_problem(meshes[0].eps)
             for mesh_config in meshes:
-                grid = build_mesh(mesh_config)
-                system = assemble(grid, classify_edges(grid), dofmap,
-                                  problem, dirichlet=dirichlet)
+                grid = nipg2d.build_mesh(mesh_config)
+                system = nipg2d.assemble(grid, nipg2d.classify_edges(grid),
+                                         dofmap, problem, dirichlet=dirichlet)
                 matrix = system.matrix
                 key = (f"k={dofmap.k} N={mesh_config.n} "
                        f"eps={mesh_config.eps:g} {dirichlet}")
@@ -84,7 +81,7 @@ def system_hashes():
     return hashes
 
 
-def study_fingerprints():
+def study_fingerprints(cli, workloads):
     outputs, errors = {}, {}
     runs = [(name, None) for name in workloads.WORKLOADS
             if name != "eps-sweep"]
@@ -105,10 +102,56 @@ def study_fingerprints():
     return outputs, errors
 
 
+def compare(before, after):
+    """Report lines for the change from fingerprint ``before`` to
+    ``after``: the differing hash keys, then the largest relative error
+    shift of each workload."""
+    lines = []
+    for part in ("systems", "outputs"):
+        for key in sorted(before[part].keys() | after[part].keys()):
+            old, new = before[part].get(key), after[part].get(key)
+            if old is None or new is None:
+                lines.append(f"{part}: {key}: only in "
+                             f"{'the second' if old is None else 'the first'}")
+            elif old != new:
+                fields = [name for name in old if old[name] != new.get(name)]
+                lines.append(f"{part}: {key}: {', '.join(fields)}")
+    largest = {}
+    for cell in sorted(before["errors"].keys() & after["errors"].keys()):
+        label, _, where = cell.partition(" k=")
+        workload = label.split(" seed=")[0]
+        for name, old, new in zip(("e_IN", "e_Pi", "e_L2"),
+                                  before["errors"][cell],
+                                  after["errors"][cell]):
+            shift = abs(float(new) - float(old)) / abs(float(old))
+            if shift >= largest.get(workload, (-1.0,))[0]:
+                largest[workload] = (shift, f"{name} at {label} k={where}")
+    for workload, (shift, where) in sorted(largest.items()):
+        lines.append(f"{workload}: largest relative shift {shift:.3g} "
+                     f"({where})")
+    missing = before["errors"].keys() ^ after["errors"].keys()
+    lines += [f"errors: {cell}: in one output only"
+              for cell in sorted(missing)]
+    return lines if before != after else ["identical"]
+
+
 def main():
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: fingerprint.py --compare BEFORE.json AFTER.json")
+        before, after = (json.loads(Path(p).read_text(encoding="utf-8"))
+                         for p in sys.argv[2:])
+        print("\n".join(compare(before, after)))
+        return
     start = time.perf_counter()
-    systems = system_hashes()
-    outputs, errors = study_fingerprints()
+    # nipg2d first, from PYTHONPATH: importing studybench puts this
+    # checkout's src on sys.path, which must not decide the version measured
+    import nipg2d
+    import nipg2d.cli
+    sys.path.append(str(Path(__file__).resolve().parents[1]))
+    from studybench import workloads
+    systems = system_hashes(nipg2d)
+    outputs, errors = study_fingerprints(nipg2d.cli, workloads)
     print(json.dumps({"systems": systems, "outputs": outputs,
                       "errors": errors}, indent=1))
     print(f"nipg2d from {Path(nipg2d.__file__).parent}; run time "
