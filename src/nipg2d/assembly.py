@@ -138,9 +138,9 @@ def _sample(fn, x, y):
     """Evaluate a callable of (x, y) on arguments that broadcast against
     each other, as elementwise NumPy code and constants allow, flattened to
     (points, npts): (N^2, npts), E = i*N + j, on :func:`_cells`'s grid."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    out = np.broadcast_to(np.asarray(fn(x, y), dtype=float), shape)
-    return out.reshape(-1, shape[-1])
+    out = np.empty(np.broadcast(x, y).shape)
+    out[...] = fn(x, y)
+    return out.reshape(-1, out.shape[-1])
 
 
 def _cells(mesh, xi, eta):

@@ -7,6 +7,7 @@ import pytest
 
 from nipg2d import convergence_rates
 from nipg2d.analysis import (
+    ERROR_QUAD_POINTS_OVER_K,
     INTERP_QUAD_POINTS_OVER_K,
     broken_l2_error,
     energy_norm,
@@ -14,8 +15,8 @@ from nipg2d.analysis import (
     interpolate_vee_global,
     supercloseness_error,
 )
-from nipg2d.assembly import assemble
-from nipg2d.felib import reference_tables
+from nipg2d.assembly import QUAD_POINTS_OVER_K, assemble
+from nipg2d.felib import reference_tables, vee_operator
 from nipg2d.mesh import NO_ELEMENT
 from nipg2d.solver import solve
 
@@ -226,6 +227,66 @@ class TestErrorRecord:
         v = as_dg(case, np.zeros(case.dofs))
         with pytest.raises(ValueError, match="exact"):
             supercloseness_error(v, case.edges, anon)
+
+
+class TestBroadcastContract:
+    """Problem data is sampled on the mesh's tensor grid, x (N, 1, npts)
+    against y (1, N, npts), and elementwise callables give there the bits
+    they give on the full (N, N, npts) arrays."""
+
+    CALLABLES = ("b1", "b2", "div_b", "c", "f", "exact")
+
+    @classmethod
+    def on_full_arrays(cls, problem, calls):
+        """``problem`` with every callable evaluated on
+        ``np.broadcast_arrays(x, y)``, logging the shapes it was passed
+        under its name in ``calls``."""
+        def full(name, fn):
+            def wrapped(x, y):
+                calls.setdefault(name, []).append((np.shape(x), np.shape(y)))
+                return fn(*np.broadcast_arrays(x, y))
+            return wrapped
+        return dataclasses.replace(problem, **{
+            name: full(name, getattr(problem, name))
+            for name in cls.CALLABLES})
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_full_arrays_give_the_same_bits(self, k):
+        case = make_case(k=k, n=8, eps=1e-6)
+        problem = self.on_full_arrays(case.problem, {})
+        system = assemble(case.mesh, case.edges, case.dofmap, problem)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(system.matrix, name),
+                                          getattr(case.system.matrix, name))
+        np.testing.assert_array_equal(system.rhs, case.system.rhs)
+        u_h = as_dg(case, random_dg_coefficients(np.random.default_rng(k),
+                                                 case))
+        assert (supercloseness_error(u_h, case.edges, problem)
+                == supercloseness_error(u_h, case.edges, case.problem))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cell_samples_arrive_on_the_tensor_grid(self, k):
+        case = make_case(k=k, n=8, eps=1e-6)
+        calls = {}
+        problem = self.on_full_arrays(case.problem, calls)
+        assemble(case.mesh, case.edges, case.dofmap, problem)
+        supercloseness_error(as_dg(case, np.zeros(case.dofs)), case.edges,
+                             problem)
+
+        def grid(cells, npts):
+            return (cells, 1, npts), (1, cells, npts)
+
+        n, m = case.n, case.mesh.config.coarse_cells
+        n_vee = vee_operator(k, k + INTERP_QUAD_POINTS_OVER_K)[0].shape[0]
+        n_interp = (k + INTERP_QUAD_POINTS_OVER_K) ** 2
+        n_assemble = (k + QUAD_POINTS_OVER_K) ** 2
+        n_error = (k + ERROR_QUAD_POINTS_OVER_K) ** 2
+        assert calls["f"] == [grid(n, n_assemble)]
+        assert calls["c"] == [grid(n, n_assemble), grid(n, n_error),
+                              grid(n, n_error)]
+        # vee interpolant, composite interpolant, broken L2 error
+        assert calls["exact"] == [grid(n, n_vee), grid(m, n_interp),
+                                  grid(n, n_error)]
 
 
 class TestConvergenceRates:

@@ -15,6 +15,7 @@ from nipg2d.felib import (
     lobatto_nodes,
     reference_tables,
     vee_operator,
+    volume_products,
 )
 
 from oracles import basis_2d
@@ -171,7 +172,7 @@ class TestReferenceTables:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_2d_tables_are_point_major(self, k):
-        # assembly's volume contractions run ~45% slower on C order
+        # the layout lagrange_1d returns, which the docstrings state
         for nq in range(k + 1, k + 5):
             tab = reference_tables(k, nq)
             for arr in (tab.vals, tab.gx, tab.gy, *tab.tr, *tab.dn):
@@ -206,6 +207,21 @@ class TestReferenceTables:
                     + np.einsum("eq,mq,nq->emn", w[:, 2], tr_r, tr_c))
         got = (w.reshape(5, -1) @ prod).reshape(expected.shape)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_volume_products_give_the_three_volume_terms(self, k):
+        nq = k + 2
+        prod = volume_products(k, nq)
+        assert volume_products(k, nq) is prod
+        with pytest.raises(ValueError):
+            prod[...] = 0.0
+        tab = reference_tables(k, nq)
+        w = np.random.default_rng(7).standard_normal((5, 3, nq * nq))
+        expected = (np.einsum("eq,mq,nq->emn", w[:, 0], tab.vals, tab.gx)
+                    + np.einsum("eq,mq,nq->emn", w[:, 1], tab.vals, tab.gy)
+                    + np.einsum("eq,mq,nq->emn", w[:, 2], tab.vals, tab.vals))
+        got = (w.reshape(5, -1) @ prod).reshape(expected.shape)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def _random_qk(rng, k):
