@@ -116,17 +116,18 @@ def compare(before, after):
             elif old != new:
                 fields = [name for name in old if old[name] != new.get(name)]
                 lines.append(f"{part}: {key}: {', '.join(fields)}")
-    largest = {}
-    for cell in sorted(before["errors"].keys() & after["errors"].keys()):
+    shifts = {}
+    for cell in before["errors"].keys() & after["errors"].keys():
         label, _, where = cell.partition(" k=")
         workload = label.split(" seed=")[0]
         for name, old, new in zip(("e_IN", "e_Pi", "e_L2"),
                                   before["errors"][cell],
                                   after["errors"][cell]):
             shift = abs(float(new) - float(old)) / abs(float(old))
-            if shift >= largest.get(workload, (-1.0,))[0]:
-                largest[workload] = (shift, f"{name} at {label} k={where}")
-    for workload, (shift, where) in sorted(largest.items()):
+            shifts.setdefault(workload, []).append(
+                (shift, f"{name} at {label} k={where}"))
+    for workload, found in sorted(shifts.items()):
+        shift, where = max(found)
         lines.append(f"{workload}: largest relative shift {shift:.3g} "
                      f"({where})")
     missing = before["errors"].keys() ^ after["errors"].keys()
