@@ -391,50 +391,43 @@ def elimination_order(n, k):
 def _face_dissection(n, k):
     """Face-node nested-dissection order of the dofs of an N x N mesh.
 
-    The element grid is bisected along its longer side (x on a tie), and
-    each half again, down to leaves of at most 2 elements.  A cut's
-    separator is the face-node dofs on both sides of the cut line: local
-    node a == k of the elements before it and a == 0 of those after it
-    (b for a cut in y), less the dofs an outer separator already holds.
-    Neighbour blocks of the NIPG matrix vanish unless one of the two nodes
-    lies on the shared face, so a separator disconnects the two halves.
-    The order is [first half, second half, separator] at every level,
-    and the dofs of one separator or leaf stay in natural order (A.
-    George, "Nested dissection of a regular finite element mesh", SIAM J.
-    Numer. Anal. 10, 1973).
+    A box of elements is bisected along its longer side (x on a tie), and
+    its dofs are ordered as those of its first half, then those of its
+    second half, then its separator; each half is ordered the same way,
+    down to leaves of at most 2 elements, whose dofs are listed in natural
+    order.  A cut's separator is the face-node dofs on both sides of the
+    cut line: local node a == k of the elements before it and a == 0 of
+    those after it (b for a cut in y), less the dofs an outer separator
+    already holds, in natural order.  Neighbour blocks of the NIPG matrix
+    vanish unless one of the two nodes lies on the shared face, so a
+    separator disconnects the two halves (A. George, "Nested dissection
+    of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973).
     """
     m = k + 1
-    i, j = np.divmod(np.arange(n * n), n)
-    a, b = np.divmod(np.arange(m * m), m)
-    # the box [x0, x1) x [y0, y1) holding each element at the current level
-    x0, x1 = np.zeros_like(i), np.full_like(i, n)
-    y0, y1 = np.zeros_like(j), np.full_like(j, n)
-    # a dof sorts by the tree path of the box whose separator or leaf holds
-    # it, one base-3 digit per level (0 first half, 1 second half), padded
-    # with 2s from that box's level on: so after both halves of its box
-    depth = 2 * (n - 1).bit_length() + 1
-    path = np.zeros(n * n, dtype=np.int64)
-    key = np.full((n * n, m * m), -1, dtype=np.int64)
-    for level in range(depth):
-        w, h = x1 - x0, y1 - y0
-        in_x = w >= h
-        mid = np.where(in_x, x0 + w // 2, y0 + h // 2)
-        at = np.where(in_x, i, j)
-        local = np.where(in_x[:, None], a, b)
-        on_cut = (((at == mid - 1)[:, None] & (local == k))
-                  | ((at == mid)[:, None] & (local == 0)))
-        take = (key < 0) & (on_cut | (w * h <= 2)[:, None])
-        key[take] = np.broadcast_to(
-            path[:, None] + (3 ** (depth - level) - 1), key.shape)[take]
-        if (key >= 0).all():
-            break
-        second = at >= mid
-        path += second * 3 ** (depth - level - 1)
-        x0 = np.where(in_x & second, mid, x0)
-        x1 = np.where(in_x & ~second, mid, x1)
-        y0 = np.where(~in_x & second, mid, y0)
-        y1 = np.where(~in_x & ~second, mid, y1)
-    return np.argsort(key.ravel(), kind="stable")
+    dofs = np.arange(n * n * m * m).reshape(n, n, m, m)    # (i, j, a, b)
+    held = np.zeros(dofs.shape, dtype=bool)
+    # the separator nodes of the element pair astride a cut in x; in y
+    cut_x = np.zeros((2, 1, m, m), dtype=bool)
+    cut_x[0, :, k] = cut_x[1, :, 0] = True
+    cut_y = cut_x.transpose(1, 0, 3, 2)
+
+    def bisect(x0, x1, y0, y1):
+        box = np.s_[x0:x1, y0:y1]
+        if (x1 - x0) * (y1 - y0) <= 2:
+            return [dofs[box][~held[box]]]
+        if x1 - x0 >= y1 - y0:
+            mid = (x0 + x1) // 2
+            pair, face = np.s_[mid - 1:mid + 1, y0:y1], cut_x
+            halves = (x0, mid, y0, y1), (mid, x1, y0, y1)
+        else:
+            mid = (y0 + y1) // 2
+            pair, face = np.s_[x0:x1, mid - 1:mid + 1], cut_y
+            halves = (x0, x1, y0, mid), (x0, x1, mid, y1)
+        separator = dofs[pair][face & ~held[pair]]
+        held[pair] |= face
+        return bisect(*halves[0]) + bisect(*halves[1]) + [separator]
+
+    return np.concatenate(bisect(0, n, 0, n))
 
 
 def boundary_dofs(mesh, dofmap):

@@ -406,26 +406,49 @@ class TestSparsityAndMetadata:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_dissection_order_separates_the_halves(self, k):
-        # the top cut of the 8 x 8 grid runs between element columns 3
-        # and 4; its separator is the a == k nodes of column 3 and the
-        # a == 0 nodes of column 4, eliminated last
-        case = make_case(k=k, n=8, eps=1e-3)
-        order = case.system.order
-        assert not order.flags.writeable
-        np.testing.assert_array_equal(np.sort(order),
-                                      np.arange(case.dofs))
-        i, _, a, _ = np.unravel_index(np.arange(order.size),
-                                      (8, 8, k + 1, k + 1))
-        separator = ((i == 3) & (a == k)) | ((i == 4) & (a == 0))
-        first = np.flatnonzero((i < 4) & ~separator)
-        second = np.flatnonzero((i >= 4) & ~separator)
-        parts = np.split(order, [first.size, first.size + second.size])
-        for part, dofs in zip(parts, (first, second,
-                                      np.flatnonzero(separator))):
-            np.testing.assert_array_equal(np.sort(part), dofs)
-        matrix = case.system.matrix
-        assert matrix[first][:, second].nnz == 0
-        assert matrix[second][:, first].nnz == 0
+        # walk the whole bisection: each box is cut across its longer side
+        # (x on a tie), down to leaves of at most 2 elements, and its
+        # still-free dofs are one run of the order, [first half][second
+        # half][separator]; the separator is the still-free a == k nodes
+        # before the cut and a == 0 nodes after it (b for a cut in y)
+        for n in (8, 12):
+            case = make_case(k=k, n=n, eps=1e-3)
+            order, matrix = case.system.order, case.system.matrix
+            assert not order.flags.writeable
+            np.testing.assert_array_equal(np.sort(order),
+                                          np.arange(case.dofs))
+            i, j, a, b = np.unravel_index(np.arange(case.dofs),
+                                          (n, n, k + 1, k + 1))
+            free = np.ones(case.dofs, dtype=bool)
+            boxes = [(0, n, 0, n, 0)]    # x0, x1, y0, y1, start of its run
+            while boxes:
+                x0, x1, y0, y1, start = boxes.pop()
+                inside = free & (x0 <= i) & (i < x1) & (y0 <= j) & (j < y1)
+                run = order[start:start + inside.sum()]
+                if (x1 - x0) * (y1 - y0) <= 2:
+                    np.testing.assert_array_equal(run,
+                                                  np.flatnonzero(inside))
+                    continue
+                if x1 - x0 >= y1 - y0:
+                    mid, at, local = (x0 + x1) // 2, i, a
+                    halves = (x0, mid, y0, y1), (mid, x1, y0, y1)
+                else:
+                    mid, at, local = (y0 + y1) // 2, j, b
+                    halves = (x0, x1, y0, mid), (x0, x1, mid, y1)
+                separator = inside & (((at == mid - 1) & (local == k))
+                                      | ((at == mid) & (local == 0)))
+                first = np.flatnonzero(inside & ~separator & (at < mid))
+                second = np.flatnonzero(inside & ~separator & (at >= mid))
+                parts = np.split(run, [first.size, first.size + second.size])
+                for part, dofs in zip(parts, (first, second)):
+                    np.testing.assert_array_equal(np.sort(part), dofs)
+                np.testing.assert_array_equal(parts[2],
+                                              np.flatnonzero(separator))
+                assert matrix[first][:, second].nnz == 0
+                assert matrix[second][:, first].nnz == 0
+                free[separator] = False
+                boxes += [(*halves[0], start),
+                          (*halves[1], start + first.size)]
 
     @pytest.mark.parametrize("k,n,dirichlet", [
         (2, 16, "weak"), (1, 32, "weak"), (2, 16, "strong"), (1, 32, "strong"),
