@@ -61,7 +61,6 @@ CSV_TABLE = {
     "solver_iters": ("solver_iters", "d"), "residual": ("residual", ".3e"),
     "wall_ms": ("wall_ms", ".1f"),
 }
-CSV_COLUMNS = tuple(CSV_TABLE)
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ def format_csv(report):
     for key, val in report.config_echo.items():
         out.write(f"# {key} = {val}\n")
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(CSV_TABLE)
     for r in report.rows:
         writer.writerow([
             "" if getattr(r, attr) is None else format(getattr(r, attr), spec)
