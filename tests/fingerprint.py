@@ -1,5 +1,5 @@
-"""Fingerprint of the assembled systems and the study outputs, for
-checking that a refactor changed no number.
+"""Fingerprint of the assembled systems, the elimination orders and the
+study outputs, for checking that a refactor changed no number.
 
 Not a test: pytest does not collect this file.  Run it from the
 repository root against the ``src`` directory of each commit to compare,
@@ -15,6 +15,11 @@ It prints one JSON object:
   and ``order`` (with dtype and shape) of every assembled system with
   k <= 3, N in {8, 16, 32}, eps in {1e-4, 1e-8}, weak and strong
   Dirichlet data, on the meshes of ``nipg2d study``'s defaults;
+* ``orders``: the sha256 of ``assembly.elimination_order(N, k)`` for
+  every (N, k) of ``cli.DEFAULT_N_BY_K`` and for N = 12 and 24 at
+  k = 2 and 3; refinement makes each solution independent of the order
+  to round-off, so above N = 32 neither the systems nor the outputs
+  would show an order change;
 * ``outputs``: the sha256 of the CSV and of the markdown of each
   benchmark workload, with every ``wall_ms`` set to 0; the grids are
   those of ``studybench/workloads.py``, with seeds 1701-1703 for
@@ -28,9 +33,10 @@ outputs made on one machine and keep no reference copy.  The run time and
 the imported ``nipg2d`` go to standard error.
 
 ``--compare A B`` reads two such outputs instead of running anything.  It
-prints every system or output hash that differs, then, per workload, the
-largest relative shift of e_IN, e_Pi and e_L2 from A to B and the cell
-where it occurs; it prints "identical" if A and B are the same.
+prints every system, order or output hash that differs, then, per
+workload, the largest relative shift of e_IN, e_Pi and e_L2 from A to B
+and the cell where it occurs; it prints "identical" if A and B are the
+same.
 """
 
 import dataclasses
@@ -45,6 +51,9 @@ CELLS = (8, 16, 32)
 EPS = (1e-4, 1e-8)
 DIRICHLET = ("weak", "strong")
 EPS_SWEEP_SEEDS = (1701, 1702, 1703)
+#: (N, k) of the orders hashed beside the default chains: N = 12 and 24,
+#: not powers of 2, give bisection boxes of odd side
+OTHER_ORDERS = ((12, 2), (24, 2), (12, 3), (24, 3))
 
 
 def array_hash(a):
@@ -81,6 +90,16 @@ def system_hashes(nipg2d):
     return hashes
 
 
+def order_hashes(nipg2d):
+    """The elimination order of every default chain's cells and of
+    OTHER_ORDERS."""
+    cells = [(n, k) for k, ns in nipg2d.cli.DEFAULT_N_BY_K.items()
+             for n in ns]
+    return {f"k={k} N={n}": {
+                "order": array_hash(nipg2d.assembly.elimination_order(n, k))}
+            for n, k in cells + list(OTHER_ORDERS)}
+
+
 def study_fingerprints(cli, workloads):
     outputs, errors = {}, {}
     runs = [(name, None) for name in workloads.WORKLOADS
@@ -107,7 +126,7 @@ def compare(before, after):
     ``after``: the differing hash keys, then the largest relative error
     shift of each workload."""
     lines = []
-    for part in ("systems", "outputs"):
+    for part in ("systems", "orders", "outputs"):
         for key in sorted(before[part].keys() | after[part].keys()):
             old, new = before[part].get(key), after[part].get(key)
             if old is None or new is None:
@@ -152,9 +171,10 @@ def main():
     sys.path.append(str(Path(__file__).resolve().parents[1]))
     from studybench import workloads
     systems = system_hashes(nipg2d)
+    orders = order_hashes(nipg2d)
     outputs, errors = study_fingerprints(nipg2d.cli, workloads)
-    print(json.dumps({"systems": systems, "outputs": outputs,
-                      "errors": errors}, indent=1))
+    print(json.dumps({"systems": systems, "orders": orders,
+                      "outputs": outputs, "errors": errors}, indent=1))
     print(f"nipg2d from {Path(nipg2d.__file__).parent}; run time "
           f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
 
