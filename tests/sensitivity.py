@@ -1,6 +1,7 @@
 """How the reference-table gap moves with the mesh and the outflow-boundary
 penalty, where the energy norm's weight sits, and which edge family's
-penalty the supercloseness bound rests on.
+penalty the supercloseness bound rests on, on the Shishkin and on the
+Bakhvalov-Shishkin mesh.
 
 Not a test: pytest does not collect this file.  Run it from the
 repository root with
@@ -21,7 +22,9 @@ e_IN^2 at the finest N of each chain, read from
 ``ErrorRecord.components``.  A fourth changes the power of N in one edge
 family's rho at a time (``mesh.PENALTY_POWER``: M1 1, M2 N^2, M3 and M4
 N) and gives C_N = e_IN (N / ln N)^(k+1/2) along each chain, with its
-ratio, finest N over N = 8.
+ratio, finest N over N = 8.  A fifth runs the same variants on the
+Bakhvalov-Shishkin mesh of ``helpers.bakhvalov_shishkin_mesh`` and gives
+e_IN N^(k+1/2), the constant without the ln N that this mesh removes.
 """
 
 import dataclasses
@@ -34,7 +37,7 @@ from nipg2d import (DGFunction, DofMap, assemble, boundary_layer_problem,
                     classify_edges, solve, supercloseness_error)
 from nipg2d.mesh import NO_ELEMENT, PENALTY_POWER, EdgeType
 
-from helpers import make_mesh
+from helpers import MESHES, make_mesh
 from test_acceptance import REFERENCE, supercloseness_constant
 
 #: (k, mesh sizes) of each chain; eps and published e_IN from REFERENCE
@@ -109,9 +112,10 @@ PARTS = ("grad", "reaction", "penalty", "inflow_outflow")
 
 
 def error_record(k, n, eps, sigma=lambda k: k + 1.5, beta=(2.0, 3.0),
-                 rho=None):
-    """ErrorRecord of the built-in problem under one variant."""
-    grid = make_mesh(n, eps, sigma(k), *beta)
+                 rho=None, mesh="shishkin"):
+    """ErrorRecord of the built-in problem under one variant, on one of
+    ``helpers.MESHES``."""
+    grid = MESHES[mesh](make_mesh(n, eps, sigma(k), *beta))
     edge_set = classify_edges(grid)
     if rho is not None:
         edge_set = dataclasses.replace(edge_set,
@@ -139,6 +143,11 @@ def main():
         records[label] = [
             [error_record(k, n, REFERENCE[k]["eps"], **settings) for n in ns]
             for k, ns in CHAINS]
+    bs_records = {
+        label: [[error_record(k, n, REFERENCE[k]["eps"],
+                              mesh="bakhvalov-shishkin", **settings)
+                 for n in ns] for k, ns in CHAINS]
+        for label, settings in FAMILY_VARIANTS}
 
     header = []
     for k, ns in CHAINS:
@@ -173,18 +182,22 @@ def main():
                 + [f"k={k} N={ns[-1]} ({'/'.join(PARTS)})"
                    for k, ns in CHAINS], rows)
 
-    rows = []
-    for label, _ in FAMILY_VARIANTS:
-        row = [label]
-        for (k, ns), chain in zip(CHAINS, records[label]):
-            constants = [supercloseness_constant(k, n, r.e_in)
-                         for n, r in zip(ns, chain)]
-            row.append("/".join(f"{c:.3f}" for c in constants))
-            row.append(f"{constants[-1] / constants[0]:.2f}")
-        rows.append(row)
-    print_table(["penalty family"]
-                + [f"k={k} N={ns[0]}…{ns[-1]} {column}"
-                   for k, ns in CHAINS for column in ("C_N", "ratio")], rows)
+    for first, name, constant, chains in (
+            ("penalty family", "C_N", supercloseness_constant, records),
+            ("penalty family, B–S mesh", "e_IN·N^{k+1/2}",
+             lambda k, n, e_in: e_in * n ** (k + 0.5), bs_records)):
+        rows = []
+        for label, _ in FAMILY_VARIANTS:
+            row = [label]
+            for (k, ns), chain in zip(CHAINS, chains[label]):
+                constants = [constant(k, n, r.e_in)
+                             for n, r in zip(ns, chain)]
+                row.append("/".join(f"{c:.3f}" for c in constants))
+                row.append(f"{constants[-1] / constants[0]:.2f}")
+            rows.append(row)
+        print_table([first] + [f"k={k} N={ns[0]}…{ns[-1]} {column}"
+                               for k, ns in CHAINS
+                               for column in (name, "ratio")], rows)
     print(f"run time {time.perf_counter() - start:.1f} s")
 
 
